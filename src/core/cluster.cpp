@@ -170,7 +170,11 @@ ClusterReport Cluster::run(const SchedulerFactory& make_scheduler,
              "the fleet");
   ClusterSession session(*this, make_scheduler, policy);
   for (const workload::ScenarioEvent& e : scenario.events()) session.apply(e);
-  return session.finish();
+  ClusterReport report = session.finish();
+  // finish() summarises each board; a batch replay also returns its epochs.
+  for (std::size_t i = 0; i < report.boards.size(); ++i)
+    report.boards[i] = session.session(i).finish();
+  return report;
 }
 
 ClusterSession::ClusterSession(const Cluster& cluster,
@@ -587,7 +591,8 @@ ClusterReport ClusterSession::finish() const {
     if (!up_[i]) report.downtime_board_s += last_time_s_ - down_since_[i];
     report.resident_streams += sessions_[i].present().size();
   }
-  for (const ServingSession& s : sessions_) report.boards.push_back(s.finish());
+  for (const ServingSession& s : sessions_)
+    report.boards.push_back(s.summary());
   for (const ServingReport& b : report.boards) {
     report.decisions += b.decisions;
     report.total_decision_seconds += b.total_decision_seconds;
@@ -614,7 +619,7 @@ std::string format_cluster_report(const ClusterReport& report) {
   for (std::size_t i = 0; i < report.boards.size(); ++i) {
     const ServingReport& br = report.boards[i];
     table.add_row(
-        {report.board_names[i], std::to_string(br.epochs.size()),
+        {report.board_names[i], std::to_string(br.epoch_count),
          std::to_string(br.decisions), util::fmt(br.mean_throughput, 2),
          util::fmt(100.0 * br.mean_churn, 1) + "%",
          br.total_slo_streams == 0

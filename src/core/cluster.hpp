@@ -262,7 +262,8 @@ class Cluster {
 /// loop state the batch replay keeps between events (per-board schedulers
 /// and sessions, board health, stream locations, the accumulating fleet
 /// report), so `construct; apply() every event; finish()` IS Cluster::run,
-/// bit-identical by construction.
+/// bit-identical by construction (finish() leaves out the per-epoch lists,
+/// which Cluster::run attaches from each board's ServingSession::finish()).
 ///
 /// The extra surface beyond the batch loop exists for the live serving
 /// daemon (tools/daemon.cpp):
@@ -279,12 +280,12 @@ class Cluster {
 /// Events must satisfy the Scenario invariants for the fleet (non-
 /// decreasing times, arrive-while-absent, depart-while-present, per-board
 /// fault legality); a Scenario guarantees this for batch replays, and the
-/// daemon validates each live command by re-validating its recorded trace
-/// plus the candidate before applying. The session holds references into
-/// the Cluster — it must not outlive it, and at most one session per
-/// Cluster may be live at a time (sessions share the cluster's board
-/// simulators). Destruction resets every board simulator to full speed, so
-/// a later run/session starts from health.
+/// daemon steps each live command through its workload::ScenarioValidator
+/// before applying it. The session holds references into the Cluster — it
+/// must not outlive it, and at most one session per Cluster may be live at
+/// a time (sessions share the cluster's board simulators). Destruction
+/// resets every board simulator to full speed, so a later run/session
+/// starts from health.
 class ClusterSession {
  public:
   static constexpr std::size_t kNoBoard = static_cast<std::size_t>(-1);
@@ -320,7 +321,9 @@ class ClusterSession {
 
   /// Snapshot of everything applied so far — the batch report, including
   /// the end-of-scenario tail accounting (downtime up to the last event's
-  /// timestamp, resident streams, per-board aggregation). The session stays
+  /// timestamp, resident streams, per-board aggregation). Each board comes
+  /// from ServingSession::summary(): aggregates and epoch_count, no epoch
+  /// list, so the cost is O(boards) at any session length. The session stays
   /// usable; the daemon's `status`/`report` commands call this repeatedly.
   ClusterReport finish() const;
 

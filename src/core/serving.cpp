@@ -86,8 +86,8 @@ const EpochReport& ServingSession::apply(IScheduler& scheduler,
     ep.mix = "(idle)";
     have_prev_ = false;
     last_throughput_ = 0.0;
-    report_.epochs.push_back(std::move(ep));
-    return report_.epochs.back();
+    epochs_.push_back(std::move(ep));
+    return epochs_.back();
   }
 
   return serve_epoch(scheduler, std::move(ep), arrival_stall_s);
@@ -215,12 +215,19 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
   prev_w_ = w;
   prev_mapping_ = ep.decision.mapping;
   have_prev_ = true;
-  report_.epochs.push_back(std::move(ep));
-  return report_.epochs.back();
+  epochs_.push_back(std::move(ep));
+  return epochs_.back();
 }
 
 ServingReport ServingSession::finish() const {
+  ServingReport report = summary();
+  report.epochs = epochs_;
+  return report;
+}
+
+ServingReport ServingSession::summary() const {
   ServingReport report = report_;
+  report.epoch_count = epochs_.size();
   if (report.decisions > 0)
     report.mean_throughput =
         throughput_sum_ / static_cast<double>(report.decisions);

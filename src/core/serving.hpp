@@ -82,7 +82,10 @@ struct EpochReport {
 
 /// The whole serving session, plus the aggregates the benches compare.
 struct ServingReport {
+  /// Every served epoch, in order. Left empty by ServingSession::summary()
+  /// (and so by ClusterSession::finish()), which keep only epoch_count.
   std::vector<EpochReport> epochs;
+  std::size_t epoch_count = 0;  ///< epochs served, idle ones included
 
   std::size_t decisions = 0;          ///< epochs that scheduled (non-idle)
   double total_decision_seconds = 0.0;
@@ -172,12 +175,16 @@ class ServingSession {
   /// applied so far. The session stays usable (finish() is a snapshot).
   ServingReport finish() const;
 
+  /// finish() without the per-epoch list: the aggregates and epoch_count,
+  /// at a cost that does not grow with the number of epochs served.
+  ServingReport summary() const;
+
   /// The streams currently on the board (arrival order), with their SLOs
   /// (seconds, 0 = none) index-aligned.
   const std::vector<models::ModelId>& present() const { return present_; }
   const std::vector<double>& present_slo_s() const { return present_slo_s_; }
   bool idle() const { return present_.empty(); }
-  std::size_t epochs_applied() const { return report_.epochs.size(); }
+  std::size_t epochs_applied() const { return epochs_.size(); }
   /// DES throughput measured by the most recent non-idle epoch (0 before
   /// the first decision or right after an idle epoch) — placement policies
   /// read this as the board's live load signal.
@@ -221,7 +228,8 @@ class ServingSession {
   double churn_sum_ = 0.0;
   double last_throughput_ = 0.0;
 
-  ServingReport report_;
+  std::vector<EpochReport> epochs_;
+  ServingReport report_;  ///< running sums; its epochs list stays empty
 };
 
 /// Event loop that serves a Scenario with one scheduler.

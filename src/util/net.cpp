@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -36,6 +37,16 @@ bool wait_readable(int fd, int timeout_ms) {
   }
 }
 
+/// Wraps a connected socket. Both ends of every connection go through
+/// here, so TCP_NODELAY is set in exactly one place.
+TcpStream adopt_connected(int fd) {
+  TcpStream stream{fd};
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0)
+    raise("setsockopt TCP_NODELAY");
+  return stream;
+}
+
 }  // namespace
 
 TcpStream::~TcpStream() { close(); }
@@ -60,12 +71,20 @@ void TcpStream::close() {
   buffer_.clear();
 }
 
-void TcpStream::send_line(const std::string& line) {
-  OB_REQUIRE(fd_ >= 0, "TcpStream::send_line: stream is not connected");
-  OB_REQUIRE(line.find('\n') == std::string::npos,
-             "TcpStream::send_line: line must not contain a newline");
-  std::string wire = line;
-  wire += '\n';
+void TcpStream::send_lines(const std::vector<std::string>& lines) {
+  OB_REQUIRE(fd_ >= 0, "TcpStream::send_lines: stream is not connected");
+  std::size_t bytes = 0;
+  for (const std::string& line : lines) {
+    OB_REQUIRE(line.find('\n') == std::string::npos,
+               "TcpStream::send_lines: a line must not contain a newline");
+    bytes += line.size() + 1;
+  }
+  std::string wire;
+  wire.reserve(bytes);
+  for (const std::string& line : lines) {
+    wire += line;
+    wire += '\n';
+  }
   std::size_t sent = 0;
   while (sent < wire.size()) {
     // MSG_NOSIGNAL: a vanished peer yields EPIPE, not a process-wide SIGPIPE.
@@ -84,11 +103,16 @@ TcpStream::RecvStatus TcpStream::recv_line(std::string* out, int timeout_ms) {
   OB_REQUIRE(fd_ >= 0, "TcpStream::recv_line: stream is not connected");
   for (;;) {
     const std::size_t eol = buffer_.find('\n');
-    if (eol != std::string::npos) {
+    if (eol != std::string::npos && eol <= kMaxLineBytes) {
       *out = buffer_.substr(0, eol);
       buffer_.erase(0, eol + 1);
       if (!out->empty() && out->back() == '\r') out->pop_back();
       return RecvStatus::kLine;
+    }
+    // The pending line (complete or not) is already past the cap.
+    if (std::min(eol, buffer_.size()) > kMaxLineBytes) {
+      buffer_.clear();
+      return RecvStatus::kTooLong;
     }
     if (!wait_readable(fd_, timeout_ms)) return RecvStatus::kTimeout;
     char chunk[4096];
@@ -149,7 +173,7 @@ TcpStream TcpListener::accept(int timeout_ms) {
   if (!wait_readable(fd_, timeout_ms)) return TcpStream{};
   for (;;) {
     const int client = ::accept(fd_, nullptr, nullptr);
-    if (client >= 0) return TcpStream{client};
+    if (client >= 0) return adopt_connected(client);
     if (errno != EINTR) raise("accept");
   }
 }
@@ -168,7 +192,7 @@ TcpStream tcp_connect(const std::string& host, std::uint16_t port) {
   for (;;) {
     if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
                   sizeof(addr)) == 0)
-      return TcpStream{fd};
+      return adopt_connected(fd);
     if (errno != EINTR) {
       const int saved = errno;
       ::close(fd);

@@ -7,9 +7,16 @@
 /// newline-delimited message discipline matching the scenario trace grammar.
 /// Everything is POSIX sockets; errors surface as std::runtime_error with
 /// the errno text attached. Objects are move-only owners of their fd.
+///
+/// Every connected socket (accepted or dialled) has TCP_NODELAY set, and a
+/// multi-line message goes out as one write (send_lines): a request/reply
+/// exchange never waits on Nagle's algorithm holding a small second write
+/// back until the peer's delayed ACK.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace omniboost::util {
 
@@ -24,21 +31,33 @@ class TcpStream {
   TcpStream(const TcpStream&) = delete;
   TcpStream& operator=(const TcpStream&) = delete;
 
+  /// Longest line recv_line accepts, newline excluded. Lines are trace
+  /// clauses and report rows, far below this; the cap only stops a peer
+  /// that never sends '\n' from growing the read buffer without limit.
+  static constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
   bool valid() const { return fd_ >= 0; }
 
-  /// Writes \p line plus a trailing '\n' (the line must not contain one).
-  /// Throws std::runtime_error on a closed or broken connection.
-  void send_line(const std::string& line);
+  /// Writes every line of \p lines, each plus a trailing '\n', as one
+  /// write. Every line is checked for an embedded '\n' (std::invalid_argument)
+  /// before any byte is sent. Throws std::runtime_error on a closed or
+  /// broken connection.
+  void send_lines(const std::vector<std::string>& lines);
+
+  /// send_lines with a single line.
+  void send_line(const std::string& line) { send_lines({line}); }
 
   enum class RecvStatus {
     kLine,     ///< a full line was received (newline stripped)
     kTimeout,  ///< nothing arrived within the timeout
     kClosed,   ///< the peer closed the connection
+    kTooLong,  ///< the next line exceeds kMaxLineBytes (buffer discarded)
   };
 
   /// Reads the next newline-delimited line into \p out (without the
   /// newline; a trailing '\r' is stripped for telnet-friendliness).
-  /// \p timeout_ms < 0 blocks indefinitely; 0 polls.
+  /// \p timeout_ms < 0 blocks indefinitely; 0 polls. After kTooLong the
+  /// stream is out of step with the peer's framing; close it.
   RecvStatus recv_line(std::string* out, int timeout_ms = -1);
 
   void close();

@@ -4,130 +4,120 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "util/require.hpp"
 
 namespace omniboost::workload {
 
+void ScenarioValidator::step(const ScenarioEvent& e) {
+  // Every check runs before any state changes, so a rejected event leaves
+  // the validator exactly as it was.
+  if (!std::isfinite(e.time_s) || e.time_s < 0.0)
+    throw std::invalid_argument("Scenario: event time must be finite and >= 0");
+  if (e.time_s < prev_time_s_)
+    throw std::invalid_argument("Scenario: event times must be non-decreasing");
+  if (!(e.slo_ms >= 0.0) || !std::isfinite(e.slo_ms))
+    throw std::invalid_argument("Scenario: SLO must be finite and >= 0 ms");
+  if (is_fault_event(e.kind)) {
+    if (e.slo_ms != 0.0)
+      throw std::invalid_argument("Scenario: fault events cannot carry an SLO");
+    const auto fault =
+        std::find_if(faulted_.begin(), faulted_.end(),
+                     [&](const BoardFault& f) { return f.board == e.board; });
+    const bool healthy = fault == faulted_.end();
+    const bool failed = !healthy && fault->failed;
+    switch (e.kind) {
+      case ScenarioEventKind::kFailBoard:
+        if (e.factor != 0.0)
+          throw std::invalid_argument(
+              "Scenario: only throttle events carry a factor");
+        if (failed)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " fails while already failed");
+        if (healthy)
+          faulted_.push_back({e.board, true});
+        else
+          fault->failed = true;
+        break;
+      case ScenarioEventKind::kThrottleBoard:
+        if (!(e.factor > 0.0) || !(e.factor <= 1.0) || !std::isfinite(e.factor))
+          throw std::invalid_argument(
+              "Scenario: throttle factor must be in (0, 1]");
+        if (failed)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " throttles while failed");
+        if (healthy) faulted_.push_back({e.board, false});
+        break;
+      default:  // kRecoverBoard
+        if (e.factor != 0.0)
+          throw std::invalid_argument(
+              "Scenario: only throttle events carry a factor");
+        if (healthy)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " recovers while healthy");
+        faulted_.erase(fault);
+        break;
+    }
+    prev_time_s_ = e.time_s;
+    return;  // fault events never touch the mix
+  }
+  if (e.board != 0 || e.factor != 0.0)
+    throw std::invalid_argument(
+        "Scenario: board/factor fields are fault-event-only");
+  const auto it = std::find(present_.begin(), present_.end(), e.model);
+  if (e.kind == ScenarioEventKind::kArrive) {
+    if (it != present_.end())
+      throw std::invalid_argument(
+          "Scenario: model '" + std::string(models::model_name(e.model)) +
+          "' arrives while already present");
+    present_.push_back(e.model);
+    slos_.push_back(e.slo_ms / 1e3);
+  } else {
+    if (e.slo_ms != 0.0)
+      throw std::invalid_argument(
+          "Scenario: departures cannot carry an SLO (model '" +
+          std::string(models::model_name(e.model)) + "')");
+    if (it == present_.end())
+      throw std::invalid_argument(
+          "Scenario: model '" + std::string(models::model_name(e.model)) +
+          "' departs while absent");
+    slos_.erase(slos_.begin() + (it - present_.begin()));
+    present_.erase(it);
+  }
+  prev_time_s_ = e.time_s;
+}
+
 namespace {
 
-/// Replays events [0, upto) and returns the present models in arrival
-/// order, validating the scenario invariants along the way. When
-/// \p slos_out is non-null it is filled with the per-stream SLOs (seconds,
-/// 0 = none) each present stream arrived with, index-aligned with the
-/// returned mix.
-std::vector<models::ModelId> replay(const std::vector<ScenarioEvent>& events,
-                                    std::size_t upto,
-                                    std::vector<double>* slos_out = nullptr) {
-  std::vector<models::ModelId> present;
-  std::vector<double> slos;
-  // Per-board health for the fault-event legality rules. Keyed by board
-  // index (the scenario layer does not know the fleet size); 'F' = failed,
-  // 'T' = throttled, absent = healthy.
-  std::map<std::size_t, char> board_state;
-  double prev_time = 0.0;
-  for (std::size_t i = 0; i < upto; ++i) {
-    const ScenarioEvent& e = events[i];
-    if (!std::isfinite(e.time_s) || e.time_s < 0.0)
-      throw std::invalid_argument(
-          "Scenario: event time must be finite and >= 0");
-    if (i > 0 && e.time_s < prev_time)
-      throw std::invalid_argument("Scenario: event times must be non-decreasing");
-    if (!(e.slo_ms >= 0.0) || !std::isfinite(e.slo_ms))
-      throw std::invalid_argument("Scenario: SLO must be finite and >= 0 ms");
-    prev_time = e.time_s;
-    if (is_fault_event(e.kind)) {
-      if (e.slo_ms != 0.0)
-        throw std::invalid_argument(
-            "Scenario: fault events cannot carry an SLO");
-      const auto state = board_state.find(e.board);
-      const bool failed = state != board_state.end() && state->second == 'F';
-      const bool throttled =
-          state != board_state.end() && state->second == 'T';
-      switch (e.kind) {
-        case ScenarioEventKind::kFailBoard:
-          if (e.factor != 0.0)
-            throw std::invalid_argument(
-                "Scenario: only throttle events carry a factor");
-          if (failed)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " fails while already failed");
-          board_state[e.board] = 'F';
-          break;
-        case ScenarioEventKind::kThrottleBoard:
-          if (!(e.factor > 0.0) || !(e.factor <= 1.0) ||
-              !std::isfinite(e.factor))
-            throw std::invalid_argument(
-                "Scenario: throttle factor must be in (0, 1]");
-          if (failed)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " throttles while failed");
-          board_state[e.board] = 'T';
-          break;
-        default:  // kRecoverBoard
-          if (e.factor != 0.0)
-            throw std::invalid_argument(
-                "Scenario: only throttle events carry a factor");
-          if (!failed && !throttled)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " recovers while healthy");
-          board_state.erase(e.board);
-          break;
-      }
-      continue;  // fault events never touch the mix
-    }
-    if (e.board != 0 || e.factor != 0.0)
-      throw std::invalid_argument(
-          "Scenario: board/factor fields are fault-event-only");
-    const auto it = std::find(present.begin(), present.end(), e.model);
-    if (e.kind == ScenarioEventKind::kArrive) {
-      if (it != present.end())
-        throw std::invalid_argument(
-            "Scenario: model '" + std::string(models::model_name(e.model)) +
-            "' arrives while already present");
-      present.push_back(e.model);
-      slos.push_back(e.slo_ms / 1e3);
-    } else {
-      if (e.slo_ms != 0.0)
-        throw std::invalid_argument(
-            "Scenario: departures cannot carry an SLO (model '" +
-            std::string(models::model_name(e.model)) + "')");
-      if (it == present.end())
-        throw std::invalid_argument(
-            "Scenario: model '" + std::string(models::model_name(e.model)) +
-            "' departs while absent");
-      slos.erase(slos.begin() + (it - present.begin()));
-      present.erase(it);
-    }
-  }
-  if (slos_out != nullptr) *slos_out = std::move(slos);
-  return present;
+/// A validator stepped through events [0, upto).
+ScenarioValidator validate_prefix(const std::vector<ScenarioEvent>& events,
+                                  std::size_t upto) {
+  ScenarioValidator v;
+  for (std::size_t i = 0; i < upto; ++i) v.step(events[i]);
+  return v;
 }
 
 }  // namespace
 
 Scenario::Scenario(std::vector<ScenarioEvent> events)
     : events_(std::move(events)) {
-  replay(events_, events_.size());  // validation only
+  validate_prefix(events_, events_.size());  // validation only
 }
 
 Workload Scenario::mix_after(std::size_t event_index) const {
   OB_REQUIRE(event_index < events_.size(),
              "Scenario::mix_after: event index out of range");
-  return Workload{replay(events_, event_index + 1)};
+  return Workload{validate_prefix(events_, event_index + 1).present()};
 }
 
 std::vector<double> Scenario::slo_after(std::size_t event_index) const {
   OB_REQUIRE(event_index < events_.size(),
              "Scenario::slo_after: event index out of range");
-  std::vector<double> slos;
-  replay(events_, event_index + 1, &slos);
-  return slos;
+  return validate_prefix(events_, event_index + 1).slos();
 }
 
 bool Scenario::has_slos() const {

@@ -89,14 +89,54 @@ struct ScenarioEvent {
   bool operator!=(const ScenarioEvent& rhs) const { return !(*this == rhs); }
 };
 
+/// The Scenario invariants, checked one event at a time. Scenario's
+/// constructor, mix_after and slo_after are loops over step(), and the
+/// serving daemon keeps one validator for its whole session, so a live
+/// command costs the same at any session length and the daemon cannot
+/// accept an event the offline trace loader would reject.
+///
+/// Rules: timestamps are finite, >= 0 and non-decreasing; SLOs are finite
+/// and >= 0, carried by arrivals only; a model arrives only while absent
+/// and departs only while present; board/factor stay 0 outside fault
+/// events; per board, `fail` only while not failed, `throttle` (factor in
+/// (0, 1]) only while not failed, `recover` only while failed or throttled.
+class ScenarioValidator {
+ public:
+  /// Checks \p e against the state the events stepped so far left behind
+  /// and applies it. On a breach throws std::invalid_argument, with the
+  /// text Scenario(events) reports for the same event, and leaves the state
+  /// untouched.
+  void step(const ScenarioEvent& e);
+
+  /// The present models in arrival order (departures close ranks).
+  const std::vector<models::ModelId>& present() const { return present_; }
+  /// Per-stream SLOs in seconds (0 = none), index-aligned with present().
+  const std::vector<double>& slos() const { return slos_; }
+
+ private:
+  /// A board that is not healthy: failed, or throttled when !failed.
+  /// Healthy boards are not listed (the scenario layer does not know the
+  /// fleet size), and fleets are small, so a linear scan beats a map.
+  struct BoardFault {
+    std::size_t board = 0;
+    bool failed = false;
+  };
+
+  std::vector<models::ModelId> present_;
+  std::vector<double> slos_;
+  std::vector<BoardFault> faulted_;
+  double prev_time_s_ = 0.0;
+};
+
 /// A validated arrival/departure script over the model zoo.
 ///
-/// Invariants (enforced at construction, std::invalid_argument on breach):
-/// timestamps are non-negative and non-decreasing, a model arrives only
-/// while absent and departs only while present (mixes stay duplicate-free,
-/// mirroring the embedding tensor's one-column-per-model layout), and the
-/// concurrent mix never exceeds the dataset size. The mix MAY become empty
-/// mid-scenario; the serving runtime records such epochs as idle.
+/// Invariants (enforced at construction by stepping a ScenarioValidator
+/// through the events, std::invalid_argument on breach): timestamps are
+/// non-negative and non-decreasing, a model arrives only while absent and
+/// departs only while present (mixes stay duplicate-free, mirroring the
+/// embedding tensor's one-column-per-model layout), and the concurrent mix
+/// never exceeds the dataset size. The mix MAY become empty mid-scenario;
+/// the serving runtime records such epochs as idle.
 class Scenario {
  public:
   Scenario() = default;

@@ -333,6 +333,50 @@ TEST(ClusterInvariants, FleetTotalsEqualSumOfBoardReports) {
   EXPECT_EQ(rep.total_cache_hits, hits);
 }
 
+TEST(ClusterInvariants, SessionSnapshotIsTheBatchReportWithoutEpochLists) {
+  // The daemon's status path: ClusterSession::finish() summarises each
+  // board (epoch_count, no epoch list) and must render the same text as
+  // the full Cluster::run report.
+  workload::ArrivalProcess p;
+  p.rate_per_s = 0.5;
+  p.mean_lifetime_s = 8.0;
+  p.max_concurrent = 5;
+  util::Rng rng(util::fork_stream(22, 0));
+  workload::FaultProcess faults;
+  faults.mtbf_s = 6.0;
+  faults.mttr_s = 3.0;
+  faults.throttle_fraction = 0.5;
+  const Scenario s = workload::with_faults(
+      workload::sample_scenario(p, 30.0, rng), faults, 3, 22);
+  ASSERT_TRUE(s.has_faults());
+
+  const Cluster cluster(zoo(), core::make_heterogeneous_fleet(3),
+                        ClusterConfig{});
+  const auto policy = core::make_placement_policy("best-t");
+  const ClusterReport full = cluster.run(greedy_factory(cluster), s, *policy);
+  const auto live_policy = core::make_placement_policy("best-t");
+  core::ClusterSession session(cluster, greedy_factory(cluster), *live_policy);
+  for (const workload::ScenarioEvent& e : s.events()) session.apply(e);
+  ClusterReport snapshot = session.finish();
+
+  ASSERT_EQ(snapshot.boards.size(), full.boards.size());
+  std::size_t epochs = 0;
+  for (std::size_t i = 0; i < full.boards.size(); ++i) {
+    EXPECT_TRUE(snapshot.boards[i].epochs.empty());
+    EXPECT_EQ(full.boards[i].epoch_count, full.boards[i].epochs.size());
+    EXPECT_EQ(snapshot.boards[i].epoch_count, full.boards[i].epoch_count);
+    epochs += full.boards[i].epoch_count;
+    snapshot.boards[i].epochs = full.boards[i].epochs;
+  }
+  EXPECT_GT(epochs, full.decisions);  // idle/fault epochs are counted too
+  EXPECT_EQ(fingerprint(snapshot), fingerprint(full));
+  // Decision latencies are wall-clock timings; align them before the text
+  // comparison.
+  snapshot.total_decision_seconds = full.total_decision_seconds;
+  EXPECT_EQ(core::format_cluster_report(snapshot),
+            core::format_cluster_report(full));
+}
+
 TEST(ClusterInvariants, RepeatedRunsAreByteIdenticalForEveryPolicy) {
   workload::ArrivalProcess p;
   p.rate_per_s = 0.5;

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -81,12 +83,8 @@ struct Reply {
   std::string error;
 };
 
-/// One command round-trip on a fresh connection (the daemon serves clients
-/// sequentially and survives disconnects, so per-command connections also
-/// exercise the reconnect path).
-Reply command(std::uint16_t port, const std::string& line) {
-  TcpStream s = tcp_connect("127.0.0.1", port);
-  s.send_line(line);
+/// Reads one reply (body lines up to `ok` / `err ...`) off \p s.
+Reply read_reply(TcpStream& s) {
   Reply r;
   std::string got;
   while (s.recv_line(&got, 10000) == TcpStream::RecvStatus::kLine) {
@@ -102,6 +100,15 @@ Reply command(std::uint16_t port, const std::string& line) {
   }
   r.error = "connection closed before terminator";
   return r;
+}
+
+/// One command round-trip on a fresh connection (the daemon serves clients
+/// sequentially and survives disconnects, so per-command connections also
+/// exercise the reconnect path).
+Reply command(std::uint16_t port, const std::string& line) {
+  TcpStream s = tcp_connect("127.0.0.1", port);
+  s.send_line(line);
+  return read_reply(s);
 }
 
 /// Finds the `conservation: ...` line in a reply body / text blob.
@@ -251,6 +258,61 @@ TEST(DaemonE2E, IdleTimeBackgroundResearchInstallsImprovements) {
   EXPECT_EQ(text.find("install"), std::string::npos);
   const std::string offline = offline_conservation(trace, "--boards 2");
   EXPECT_EQ(offline, live);
+}
+
+TEST(DaemonE2E, ClosedLoopRepliesTakeWellUnderADelayedAck) {
+  // One connection, one command in flight at a time: each reply must come
+  // back as one write on a TCP_NODELAY socket. Two writes per reply (body,
+  // then `ok`) would stall every exchange on the peer's delayed ACK, ~40 ms.
+  DaemonProcess daemon("--boards 2 --time-scale 200");
+  ASSERT_TRUE(daemon.running()) << "daemon failed to start";
+  const char* models[] = {"MobileNet", "AlexNet", "ResNet-50", "VGG-19",
+                          "SqueezeNet"};
+  std::vector<std::string> commands;
+  for (int round = 0; round < 5; ++round) {
+    for (const char* m : models) commands.push_back(std::string("arrive ") + m);
+    if (round == 2) commands.push_back("status");
+    for (const char* m : models) commands.push_back(std::string("depart ") + m);
+  }
+  commands.push_back("status");
+  ASSERT_EQ(commands.size(), 52u);
+
+  TcpStream s = tcp_connect("127.0.0.1", daemon.port());
+  std::vector<double> reply_ms;
+  for (const std::string& cmd : commands) {
+    const auto t0 = std::chrono::steady_clock::now();
+    s.send_line(cmd);
+    const Reply r = read_reply(s);
+    reply_ms.push_back(std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - t0)
+                           .count());
+    ASSERT_TRUE(r.ok) << cmd << " -> " << r.error;
+  }
+  s.close();  // the daemon serves one client at a time
+  std::sort(reply_ms.begin(), reply_ms.end());
+  EXPECT_LT(reply_ms[reply_ms.size() / 2], 10.0)
+      << "median command->reply time; max " << reply_ms.back() << " ms";
+
+  // A line past the cap costs the client `err line too long` and its
+  // connection; the daemon keeps serving.
+  {
+    TcpStream flood = tcp_connect("127.0.0.1", daemon.port());
+    flood.send_line(std::string(TcpStream::kMaxLineBytes + 1, 'x'));
+    std::string got;
+    ASSERT_EQ(flood.recv_line(&got, 10000), TcpStream::RecvStatus::kLine);
+    EXPECT_EQ(got, "err line too long");
+    TcpStream::RecvStatus after = TcpStream::RecvStatus::kLine;
+    try {
+      after = flood.recv_line(&got, 10000);
+    } catch (const std::runtime_error&) {
+      after = TcpStream::RecvStatus::kClosed;  // reset rather than FIN
+    }
+    EXPECT_EQ(after, TcpStream::RecvStatus::kClosed);
+  }
+  const Reply status = command(daemon.port(), "status");
+  EXPECT_TRUE(status.ok) << status.error;
+  EXPECT_EQ(field(conservation_line(status.body), "offered"), 25u);
+  EXPECT_EQ(daemon.shutdown(), 0);
 }
 
 #endif  // OMNIBOOST_CLI_PATH

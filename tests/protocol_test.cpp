@@ -221,6 +221,77 @@ TEST(Net, RejectsEmbeddedNewlineAndAcceptTimeout) {
   EXPECT_THROW(client.send_line("two\nlines"), std::invalid_argument);
 }
 
+TEST(Net, SendLinesRoundTripsAMultiLineReply) {
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("localhost", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+  const std::vector<std::string> reply = {
+      "board  epochs  decisions", "", "conservation: offered=3", "ok"};
+  server.send_lines(reply);
+  for (const std::string& want : reply) {
+    std::string line;
+    ASSERT_EQ(client.recv_line(&line, 2000),
+              util::TcpStream::RecvStatus::kLine);
+    EXPECT_EQ(line, want);
+  }
+}
+
+TEST(Net, SendLinesChecksEveryLineBeforeSendingAnyByte) {
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("localhost", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+  // The bad line is last: the good ones ahead of it must not go out either.
+  EXPECT_THROW(client.send_lines({"first", "second", "bad\nline"}),
+               std::invalid_argument);
+  std::string line;
+  EXPECT_EQ(server.recv_line(&line, 50),
+            util::TcpStream::RecvStatus::kTimeout);
+  client.send_line("after");
+  ASSERT_EQ(server.recv_line(&line, 2000),
+            util::TcpStream::RecvStatus::kLine);
+  EXPECT_EQ(line, "after");
+}
+
+TEST(Net, RecvLineRejectsALineLongerThanTheCap) {
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("localhost", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+  const std::size_t cap = util::TcpStream::kMaxLineBytes;
+  // A sender thread: two 64 KiB lines may not fit the socket buffers while
+  // nobody reads.
+  std::thread sender([&client, cap] {
+    client.send_line(std::string(cap, 'a'));  // exactly at the cap: fine
+    client.send_line(std::string(cap + 1, 'b'));
+  });
+  std::string line;
+  EXPECT_EQ(server.recv_line(&line, 5000),
+            util::TcpStream::RecvStatus::kLine);
+  EXPECT_EQ(line.size(), cap);
+  EXPECT_EQ(server.recv_line(&line, 5000),
+            util::TcpStream::RecvStatus::kTooLong);
+  sender.join();
+
+  // A peer that never sends a newline cannot grow the buffer past the cap.
+  util::TcpStream quiet = util::tcp_connect("localhost", listener.port());
+  util::TcpStream victim = listener.accept(2000);
+  ASSERT_TRUE(victim.valid());
+  std::thread flood([&quiet, cap] {
+    // The cap trips long before this line's newline would arrive; the
+    // reader then hangs up, which may fail the rest of the write.
+    try {
+      quiet.send_line(std::string(4 * cap, 'z'));
+    } catch (const std::runtime_error&) {
+    }
+  });
+  EXPECT_EQ(victim.recv_line(&line, 5000),
+            util::TcpStream::RecvStatus::kTooLong);
+  victim.close();  // unblocks the flood if it is still writing
+  flood.join();
+}
+
 // --- ThreadPool async hook (the daemon's background-search slot).
 
 TEST(ThreadPoolAsync, RunsAndJoins) {

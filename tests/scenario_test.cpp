@@ -1,5 +1,6 @@
 // workload::Scenario: generator determinism under fork_stream, generator
-// invariants, trace round-trips, validation errors, and mix replay.
+// invariants, trace round-trips, validation errors, mix replay, and the
+// stepwise ScenarioValidator agreeing with the constructor.
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,8 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/faults.hpp"
@@ -635,6 +638,227 @@ TEST(ScenarioReplay, MixAfterTracksArrivalOrderAndDepartures) {
   EXPECT_EQ(s.mix_after(3).describe(), "AlexNet+MobileNet");
   EXPECT_EQ(s.mix_after(5).size(), 0u);  // fully drained
   EXPECT_EQ(s.peak_concurrency(), 3u);
+}
+
+// --- ScenarioValidator: the stepwise form of the constructor's rules ------
+
+/// "" when the constructor accepts \p events, else its what() text.
+std::string constructor_verdict(const std::vector<ScenarioEvent>& events) {
+  try {
+    Scenario s(events);
+  } catch (const std::invalid_argument& err) {
+    return err.what();
+  }
+  return "";
+}
+
+/// Steps a ScenarioValidator through \p events and checks it against the
+/// Scenario constructor: the first rejected step throws exactly the
+/// constructor's text, a rejected step leaves present()/slos() unchanged,
+/// and every accepted prefix matches mix_after/slo_after. Rejected events
+/// are skipped; the events the validator kept must form a valid Scenario
+/// whose final mix is the validator's, so a rejection leaves no hidden
+/// state (clock, board health) behind either.
+void expect_validator_agrees(const std::vector<ScenarioEvent>& events,
+                             const std::string& label) {
+  SCOPED_TRACE(label);
+  const std::string verdict = constructor_verdict(events);
+  workload::ScenarioValidator v;
+  std::vector<ScenarioEvent> kept;
+  std::string first_error;
+  bool rejected = false;
+  for (const ScenarioEvent& e : events) {
+    const std::vector<ModelId> present = v.present();
+    const std::vector<double> slos = v.slos();
+    try {
+      v.step(e);
+      kept.push_back(e);
+    } catch (const std::invalid_argument& err) {
+      if (!rejected) first_error = err.what();
+      rejected = true;
+      EXPECT_EQ(v.present(), present);
+      EXPECT_EQ(v.slos(), slos);
+    }
+  }
+  EXPECT_EQ(first_error, verdict);
+  if (!rejected) {
+    const Scenario s(events);
+    workload::ScenarioValidator again;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      again.step(events[i]);
+      EXPECT_EQ(s.mix_after(i).mix, again.present()) << "event " << i;
+      EXPECT_EQ(s.slo_after(i), again.slos()) << "event " << i;
+    }
+  }
+  if (kept.empty()) return;
+  const Scenario survivors(kept);
+  EXPECT_EQ(survivors.mix_after(kept.size() - 1).mix, v.present());
+  EXPECT_EQ(survivors.slo_after(kept.size() - 1), v.slos());
+}
+
+ScenarioEvent mix_event(double t, ScenarioEventKind kind, ModelId m,
+                        double slo_ms = 0.0) {
+  ScenarioEvent e{t, kind, m};
+  e.slo_ms = slo_ms;
+  return e;
+}
+
+ScenarioEvent fault_event(double t, ScenarioEventKind kind, std::size_t board,
+                          double factor = 0.0) {
+  ScenarioEvent e{t, kind, ModelId::kAlexNet};
+  e.board = board;
+  e.factor = factor;
+  return e;
+}
+
+TEST(ScenarioValidator, AgreesWithConstructorOnRandomScenarios) {
+  for (std::uint64_t i = 0; i < 60; ++i) {
+    util::Rng rng(util::fork_stream(9101, i));
+    Scenario s = workload::random_scenario(rng, fuzz_config(rng));
+    if (rng.chance(0.5)) {
+      workload::FaultProcess p;
+      p.mtbf_s = rng.uniform(0.5, 10.0);
+      p.mttr_s = rng.uniform(0.5, 5.0);
+      p.throttle_fraction = rng.uniform(0.0, 1.0);
+      s = workload::with_faults(s, p, 1 + rng.below(4), i);
+    }
+    expect_validator_agrees(s.events(), "scenario " + std::to_string(i));
+  }
+}
+
+TEST(ScenarioValidator, RejectsHandWrittenIllegalSequencesLikeConstructor) {
+  using K = ScenarioEventKind;
+  const ModelId a = ModelId::kAlexNet, b = ModelId::kVgg16;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioEvent smuggled_board = mix_event(1, K::kArrive, b);
+  smuggled_board.board = 2;
+  ScenarioEvent smuggled_factor = mix_event(1, K::kDepart, a);
+  smuggled_factor.factor = 0.5;
+  ScenarioEvent slo_fault = fault_event(1, K::kFailBoard, 0);
+  slo_fault.slo_ms = 10.0;
+  const std::vector<std::pair<std::string, std::vector<ScenarioEvent>>> cases =
+      {
+          {"arrive while present",
+           {mix_event(0, K::kArrive, a), mix_event(1, K::kArrive, a)}},
+          {"depart while absent",
+           {mix_event(0, K::kArrive, a), mix_event(1, K::kDepart, b)}},
+          {"depart after departing",
+           {mix_event(0, K::kArrive, a), mix_event(1, K::kDepart, a),
+            mix_event(2, K::kDepart, a)}},
+          {"time backwards",
+           {mix_event(1, K::kArrive, a), mix_event(0.5, K::kArrive, b)}},
+          {"negative time", {mix_event(-1, K::kArrive, a)}},
+          {"infinite time", {mix_event(inf, K::kArrive, a)}},
+          {"NaN time",
+           {mix_event(0, K::kArrive, a), mix_event(nan, K::kDepart, a)}},
+          {"negative SLO", {mix_event(0, K::kArrive, a, -5)}},
+          {"NaN SLO", {mix_event(0, K::kArrive, a, nan)}},
+          {"departure with SLO",
+           {mix_event(0, K::kArrive, a), mix_event(1, K::kDepart, a, 20)}},
+          {"mix event with board",
+           {mix_event(0, K::kArrive, a), smuggled_board}},
+          {"mix event with factor",
+           {mix_event(0, K::kArrive, a), smuggled_factor}},
+          {"fault with SLO", {mix_event(0, K::kArrive, a), slo_fault}},
+          {"fail while failed",
+           {fault_event(0, K::kFailBoard, 1),
+            fault_event(1, K::kFailBoard, 1)}},
+          {"fail with factor", {fault_event(0, K::kFailBoard, 0, 0.5)}},
+          {"throttle while failed",
+           {fault_event(0, K::kFailBoard, 3),
+            fault_event(1, K::kThrottleBoard, 3, 0.5)}},
+          {"throttle factor zero", {fault_event(0, K::kThrottleBoard, 0, 0)}},
+          {"throttle factor above one",
+           {fault_event(0, K::kThrottleBoard, 0, 1.5)}},
+          {"throttle factor NaN", {fault_event(0, K::kThrottleBoard, 0, nan)}},
+          {"recover while healthy", {fault_event(0, K::kRecoverBoard, 2)}},
+          {"recover twice",
+           {fault_event(0, K::kThrottleBoard, 0, 0.5),
+            fault_event(1, K::kRecoverBoard, 0),
+            fault_event(2, K::kRecoverBoard, 0)}},
+          {"recover with factor",
+           {fault_event(0, K::kFailBoard, 0),
+            fault_event(1, K::kRecoverBoard, 0, 0.5)}},
+          {"health is per board",
+           {fault_event(0, K::kFailBoard, 0), fault_event(1, K::kFailBoard, 1),
+            fault_event(2, K::kRecoverBoard, 0),
+            fault_event(3, K::kRecoverBoard, 0)}},
+      };
+  for (const auto& [label, events] : cases) {
+    EXPECT_NE(constructor_verdict(events), "") << label;
+    expect_validator_agrees(events, label);
+  }
+  // Legal fault sequences the rules must keep accepting: throttle twice,
+  // fail a throttled board, recover it, and fail it again.
+  const std::vector<ScenarioEvent> legal = {
+      fault_event(0, K::kThrottleBoard, 0, 0.5),
+      fault_event(1, K::kThrottleBoard, 0, 0.25),
+      fault_event(2, K::kFailBoard, 0), fault_event(3, K::kRecoverBoard, 0),
+      fault_event(3, K::kFailBoard, 0)};
+  EXPECT_EQ(constructor_verdict(legal), "");
+  expect_validator_agrees(legal, "legal fault sequence");
+}
+
+TEST(ScenarioValidator, AgreesWithConstructorOnMutatedSequences) {
+  std::size_t rejected = 0;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    util::Rng rng(util::fork_stream(9102, i));
+    const workload::ScenarioConfig cfg = fuzz_config(rng);
+    workload::FaultProcess p;
+    p.mtbf_s = rng.uniform(0.5, 10.0);
+    p.mttr_s = rng.uniform(0.5, 5.0);
+    p.throttle_fraction = rng.uniform(0.0, 1.0);
+    const Scenario base = workload::with_faults(
+        workload::random_scenario(rng, cfg), p, 1 + rng.below(3), i);
+    std::vector<ScenarioEvent> events = base.events();
+    const std::size_t mutations = 1 + rng.below(3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at = rng.below(events.size());
+      ScenarioEvent& e = events[at];
+      switch (rng.below(9)) {
+        case 0:  // swap with another event (order and time both shuffle)
+          std::swap(e, events[rng.below(events.size())]);
+          break;
+        case 1:  // flip arrive <-> depart, or fail <-> recover
+          e.kind = e.kind == ScenarioEventKind::kArrive
+                       ? ScenarioEventKind::kDepart
+                   : e.kind == ScenarioEventKind::kDepart
+                       ? ScenarioEventKind::kArrive
+                   : e.kind == ScenarioEventKind::kFailBoard
+                       ? ScenarioEventKind::kRecoverBoard
+                       : ScenarioEventKind::kFailBoard;
+          break;
+        case 2:
+          e.model = models::kAllModels[rng.below(models::kNumModels)];
+          break;
+        case 3:
+          e.time_s = rng.chance(0.2) ? -1.0 : rng.uniform(0.0, e.time_s + 1);
+          break;
+        case 4:
+          e.slo_ms = rng.uniform(0.0, 200.0);
+          break;
+        case 5:
+          e.factor = rng.chance(0.5) ? 0.0 : rng.uniform(-0.5, 1.5);
+          break;
+        case 6:
+          e.board = rng.below(4);
+          break;
+        case 7:  // duplicate
+          events.insert(events.begin() + static_cast<std::ptrdiff_t>(at), e);
+          break;
+        default:  // delete
+          if (events.size() > 1)
+            events.erase(events.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+      }
+    }
+    if (constructor_verdict(events) != "") ++rejected;
+    expect_validator_agrees(events, "mutation " + std::to_string(i));
+  }
+  // Both verdicts must be exercised for the comparison to mean anything.
+  EXPECT_GT(rejected, 60u);
+  EXPECT_LT(rejected, 290u);
 }
 
 }  // namespace

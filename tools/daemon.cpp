@@ -33,7 +33,7 @@ std::string one_line(std::string text) {
   return text;
 }
 
-/// Splits a formatted report into reply lines (send_line forbids '\n').
+/// Splits a formatted report into reply lines (send_lines forbids '\n').
 void append_lines(std::vector<std::string>* reply, const std::string& text) {
   std::istringstream is(text);
   std::string line;
@@ -84,12 +84,18 @@ class Daemon {
         idle_tick();
         continue;
       }
-      const std::vector<std::string> reply = handle(line);
+      // An over-long line has lost the peer's framing: answer, then drop
+      // the connection (the caller's stream closes on return).
+      const std::vector<std::string> reply =
+          st == util::TcpStream::RecvStatus::kTooLong
+              ? std::vector<std::string>{"err line too long"}
+              : handle(line);
       try {
-        for (const std::string& r : reply) client.send_line(r);
+        client.send_lines(reply);  // one write: no Nagle/delayed-ACK stall
       } catch (const std::runtime_error&) {
         return;  // client vanished mid-reply; the command already applied
       }
+      if (st == util::TcpStream::RecvStatus::kTooLong) return;
     }
   }
 
@@ -145,11 +151,14 @@ class Daemon {
     return reply;
   }
 
-  /// The tentpole's single-parser rule: a daemon command is EXACTLY a trace
-  /// clause, parsed by the same workload::parse_event_clause the trace
-  /// loader uses, and validated by replaying the recorded prefix plus the
-  /// candidate through the Scenario constructor — the daemon cannot accept
-  /// a command the offline replayer would reject.
+  /// The single-parser rule: a daemon command is EXACTLY a trace clause,
+  /// parsed by the same workload::parse_event_clause the trace loader uses,
+  /// and checked by the session's workload::ScenarioValidator — the rules
+  /// the Scenario constructor loops over — so the daemon cannot accept a
+  /// command the offline replayer would reject. A copy of the validator
+  /// takes the step and is committed only once the session has applied the
+  /// event: a command failing either step changes neither the trace nor the
+  /// validator. Nothing here grows with the session length.
   void apply_event(const std::string& line, std::vector<std::string>* reply) {
     const double t = clock_.now_s();
     const workload::ScenarioEvent e = workload::parse_event_clause(line, t);
@@ -157,12 +166,11 @@ class Daemon {
       throw std::invalid_argument(
           "board " + std::to_string(e.board) + " out of range (fleet has " +
           std::to_string(session_.size()) + " board(s))");
-    std::vector<workload::ScenarioEvent> candidate = recorded_;
-    candidate.push_back(e);
-    workload::Scenario validated(std::move(candidate));
-    const core::ClusterSession::ApplyOutcome out =
-        session_.apply(validated.events().back());
-    recorded_ = validated.events();
+    workload::ScenarioValidator next = validator_;
+    next.step(e);
+    const core::ClusterSession::ApplyOutcome out = session_.apply(e);
+    validator_ = std::move(next);
+    recorded_.push_back(e);
     reply->push_back(describe(e, out));
   }
 
@@ -260,6 +268,7 @@ class Daemon {
   util::PacedClock clock_;
   core::ClusterSession session_;
   std::vector<workload::ScenarioEvent> recorded_;
+  workload::ScenarioValidator validator_;  ///< state after recorded_
   bool shutdown_ = false;
 
   // Background re-search state. bg_result_ is written by the pool worker

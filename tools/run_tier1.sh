@@ -8,7 +8,9 @@
 #   --bench-smoke  After ctest, build every bench driver and run each one
 #                  with OMNIBOOST_BENCH_SMOKE=1 (tiny campaigns, shared
 #                  smoke-only estimator cache, JSON export into
-#                  <build>/bench-smoke/). Catches bench bit-rot in tier-1
+#                  <build>/bench-smoke/), plus `bench_e2e --smoke` (the
+#                  end-to-end benchmark's five workloads at tiny sizes).
+#                  Catches bench bit-rot in tier-1
 #                  instead of at the next real experiment run. Every driver
 #                  runs even after a failure (all failures are reported at
 #                  once) and ANY failure fails the script; the emitted
@@ -134,11 +136,11 @@ if [ "$bench_smoke" -eq 1 ]; then
   # Run EVERY driver even after a failure (one broken bench must not hide
   # another), then propagate a single non-zero exit for the whole loop.
   smoke_failures=""
-  for bench in "$build_dir"/bench_*; do
-    [ -f "$bench" ] && [ -x "$bench" ] || continue
-    name=$(basename "$bench")
+  smoke_one() {
+    name=$1
+    shift
     printf -- '-- %s ... ' "$name"
-    if "$bench" > "$smoke_dir/$name.log" 2>&1; then
+    if "$@" > "$smoke_dir/$name.log" 2>&1; then
       echo "ok"
     else
       echo "FAILED"
@@ -147,7 +149,21 @@ if [ "$bench_smoke" -eq 1 ]; then
       tail -n 30 "$smoke_dir/$name.log" >&2
       smoke_failures="$smoke_failures $name"
     fi
+  }
+  for bench in "$build_dir"/bench_*; do
+    [ -f "$bench" ] && [ -x "$bench" ] || continue
+    name=$(basename "$bench")
+    [ "$name" = bench_e2e ] && continue  # takes flags; runs below
+    smoke_one "$name" "$bench"
   done
+  # The end-to-end benchmark's self-check: all five workloads at tiny sizes,
+  # including a live daemon session whose conservation line must equal the
+  # offline replay's. Its JSON stays out of the paper-bench artifact set the
+  # guard below validates.
+  if [ -x "$build_dir/bench_e2e" ]; then
+    smoke_one bench_e2e env -u OMNIBOOST_BENCH_JSON_DIR \
+      "$build_dir/bench_e2e" --smoke --workdir "$smoke_dir"
+  fi
   if [ -n "$smoke_failures" ]; then
     echo "run_tier1.sh: bench smoke FAILED:$smoke_failures" >&2
     exit 1
