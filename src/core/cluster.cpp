@@ -1,6 +1,7 @@
 #include "core/cluster.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -99,6 +100,72 @@ class MemoryHeadroomPolicy final : public IPlacementPolicy {
   }
 };
 
+/// One served epoch as JSON. Idle epochs (the mix drained; nothing was
+/// scheduled) carry default decision fields; `idle` flags them so consumers
+/// can filter without string-matching the mix label.
+util::Json epoch_json(const EpochReport& ep) {
+  using util::Json;
+  Json j = Json::object();
+  const auto num = [&j](const char* k, double v) { j.set(k, Json::number(v)); };
+  num("t_s", ep.time_s);
+  j.set("event", Json::string(ep.event));
+  j.set("mix", Json::string(ep.mix));
+  j.set("idle", Json::boolean(ep.mix_size == 0));
+  num("mix_size", ep.mix_size);
+  j.set("feasible", Json::boolean(ep.feasible));
+  num("decision_seconds", ep.decision.decision_seconds);
+  num("evaluations", ep.decision.evaluations);
+  num("cache_hits", ep.decision.cache_hits);
+  num("des_replays", ep.decision.des_replays);
+  num("replay_hits", ep.decision.replay_hits);
+  num("avg_throughput_inf_s", ep.measured_throughput);
+  num("churn", ep.churn);
+  num("surviving_layers", ep.surviving_layers);
+  num("moved_layers", ep.moved_layers);
+  num("slo_streams", ep.slo_streams);
+  num("slo_violations", ep.slo_violations);
+  if (ep.slo_streams > 0) {
+    Json slos = Json::array();
+    Json p99s = Json::array();
+    for (std::size_t d = 0; d < ep.slo_s.size(); ++d) {
+      slos.push_back(Json::number(ep.slo_s[d]));
+      p99s.push_back(Json::number(ep.latency_p99_s[d]));
+    }
+    j.set("slo_s", std::move(slos));
+    j.set("latency_p99_s", std::move(p99s));
+  }
+  num("migrated_segments", ep.migrated_segments);
+  num("migration_stall_s", ep.migration_stall_s);
+  num("migration_weight_bytes", ep.migration_weight_bytes);
+  return j;
+}
+
+/// One board's report as JSON: its name, the epoch list and every aggregate.
+util::Json board_json(const std::string& name, const ServingReport& r) {
+  using util::Json;
+  Json epochs = Json::array();
+  for (const EpochReport& ep : r.epochs) epochs.push_back(epoch_json(ep));
+  Json j = Json::object();
+  const auto num = [&j](const char* k, double v) { j.set(k, Json::number(v)); };
+  j.set("board", Json::string(name));
+  j.set("epochs", std::move(epochs));
+  num("epoch_count", r.epoch_count);
+  num("decisions", r.decisions);
+  num("mean_throughput_inf_s", r.mean_throughput);
+  num("mean_incremental_decision_seconds", r.mean_incremental_decision_seconds);
+  num("total_decision_seconds", r.total_decision_seconds);
+  num("mean_churn", r.mean_churn);
+  num("total_evaluations", r.total_evaluations);
+  num("total_cache_hits", r.total_cache_hits);
+  num("total_des_replays", r.total_des_replays);
+  num("total_replay_hits", r.total_replay_hits);
+  num("slo_streams", r.total_slo_streams);
+  num("slo_violations", r.total_slo_violations);
+  num("total_migrated_segments", r.total_migrated_segments);
+  num("total_migration_stall_s", r.total_migration_stall_s);
+  return j;
+}
+
 }  // namespace
 
 std::unique_ptr<IPlacementPolicy> make_placement_policy(
@@ -158,7 +225,7 @@ Cluster::Cluster(const models::ModelZoo& zoo, std::vector<BoardSpec> boards,
              "Cluster: max_migration_stall_s must be finite and >= 0");
   sims_.reserve(boards_.size());
   for (const BoardSpec& b : boards_)
-    sims_.push_back(std::make_unique<sim::DesSimulator>(b.device, config_.des));
+    sims_.push_back(std::make_unique<sim::DesSimulator>(b.device));
 }
 
 ClusterReport Cluster::run(const SchedulerFactory& make_scheduler,
@@ -695,19 +762,67 @@ std::string format_cluster_report(const ClusterReport& report) {
   return os.str();
 }
 
-std::vector<BoardSpec> make_heterogeneous_fleet(std::size_t n) {
+util::Json to_json(const ClusterReport& report) {
+  using util::Json;
+  Json fleet = Json::array();
+  for (std::size_t i = 0; i < report.boards.size(); ++i)
+    fleet.push_back(board_json(report.board_names[i], report.boards[i]));
+  Json j = Json::object();
+  const auto num = [&j](const char* k, double v) { j.set(k, Json::number(v)); };
+  num("boards", report.boards.size());
+  j.set("fleet", std::move(fleet));
+  num("offered_streams", report.offered_streams);
+  num("admitted_streams", report.admitted_streams);
+  num("rejected_streams", report.rejected_streams);
+  num("rejection_rate", report.rejection_rate);
+  num("departures", report.departures);
+  num("migrations", report.migrations);
+  num("cross_board_stall_s", report.cross_board_stall_s);
+  num("cross_board_weight_bytes", report.cross_board_weight_bytes);
+  num("board_failures", report.board_failures);
+  num("board_throttles", report.board_throttles);
+  num("board_recoveries", report.board_recoveries);
+  num("failovers", report.failovers);
+  num("failover_stall_s", report.failover_stall_s);
+  num("failover_weight_bytes", report.failover_weight_bytes);
+  num("shed_streams", report.shed_streams);
+  num("shed_departures", report.shed_departures);
+  num("rebalances", report.rebalances);
+  num("downtime_board_s", report.downtime_board_s);
+  num("degraded_epochs", report.degraded_epochs);
+  num("resident_streams", report.resident_streams);
+  num("fleet_throughput_inf_s", report.fleet_throughput);
+  num("decisions", report.decisions);
+  num("total_decision_seconds", report.total_decision_seconds);
+  num("total_evaluations", report.total_evaluations);
+  num("total_cache_hits", report.total_cache_hits);
+  num("total_slo_streams", report.total_slo_streams);
+  num("total_slo_violations", report.total_slo_violations);
+  num("total_des_replays", report.total_des_replays);
+  num("total_replay_hits", report.total_replay_hits);
+  num("total_migrated_segments", report.total_migrated_segments);
+  num("total_migration_stall_s", report.total_migration_stall_s);
+  num("background_searches", report.background_searches);
+  num("background_improvements", report.background_improvements);
+  return j;
+}
+
+std::vector<BoardSpec> make_heterogeneous_fleet(
+    std::size_t n, const device::DeviceSpec& base) {
   OB_REQUIRE(n > 0, "make_heterogeneous_fleet: n must be > 0");
+  std::string family = base.name;
+  for (char& c : family)
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   std::vector<BoardSpec> fleet;
   fleet.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    device::DeviceSpec spec = device::make_hikey970();
-    std::string variant;
+    device::DeviceSpec spec = base;
+    std::string variant = family;
     switch (i % 3) {
       case 0:
-        variant = "hikey970";
         break;
       case 1: {
-        variant = "hikey970-pro";
+        variant += "-pro";
         for (device::ComponentSpec& c : spec.components) {
           c.peak_gflops *= 1.5;
           c.mem_bw_gbps *= 1.3;
@@ -717,7 +832,7 @@ std::vector<BoardSpec> make_heterogeneous_fleet(std::size_t n) {
         break;
       }
       default: {
-        variant = "hikey970-lite";
+        variant += "-lite";
         for (device::ComponentSpec& c : spec.components) {
           c.peak_gflops *= 0.6;
           c.mem_bw_gbps *= 0.8;

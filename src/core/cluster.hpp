@@ -54,6 +54,7 @@
 #include "core/serving.hpp"
 #include "device/device.hpp"
 #include "sim/des.hpp"
+#include "util/json.hpp"
 
 namespace omniboost::core {
 
@@ -106,8 +107,6 @@ struct ClusterConfig {
   /// Per-board serving controls (warm start, intra-board churn-cost model);
   /// every board shares one config.
   ServingConfig serving;
-  /// DES controls for every board's simulator.
-  sim::DesConfig des;
   /// Master switch for rescue migration off an infeasible board.
   bool migrate = true;
   /// Effective cross-board weight-transfer bandwidth (GB/s) — fleets move
@@ -397,9 +396,18 @@ class ClusterSession {
 /// line appears when either counter is nonzero.
 std::string format_cluster_report(const ClusterReport& report);
 
-/// A stock heterogeneous fleet for benches and quickstarts: cycles
-/// hikey970 (stock) / -pro (1.5x compute, 1.5x memory) / -lite (0.6x
-/// compute, 0.75x memory) variants, names suffixed with the board index.
-std::vector<BoardSpec> make_heterogeneous_fleet(std::size_t n);
+/// The same report as JSON (`omniboost_cli serve --json`): `boards` (the
+/// count), a `fleet` array with one object per board — its name, every
+/// ServingReport aggregate, `epoch_count`, and the full `epochs` list (empty
+/// for session snapshots) — followed by every fleet-level total.
+util::Json to_json(const ClusterReport& report);
+
+/// A heterogeneous fleet scaled from one \p base profile: cycles the stock
+/// base / -pro (1.5x compute, 1.5x memory) / -lite (0.6x compute, 0.75x
+/// memory) variants. Each variant is named after the lowercased base name
+/// plus its suffix, and each board after its variant plus the board index
+/// (hikey970-0, hikey970-pro-1, hikey970-lite-2 for the default base).
+std::vector<BoardSpec> make_heterogeneous_fleet(
+    std::size_t n, const device::DeviceSpec& base = device::make_hikey970());
 
 }  // namespace omniboost::core

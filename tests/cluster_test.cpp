@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "core/omniboost.hpp"
 #include "core/serving.hpp"
 #include "device/cost_model.hpp"
+#include "device/profile.hpp"
 #include "sched/greedy.hpp"
 #include "util/rng.hpp"
 #include "workload/arrival.hpp"
@@ -545,6 +547,64 @@ TEST(ClusterPlacement, PolicyFactoryValidatesKinds) {
   EXPECT_THROW(core::make_placement_policy("round-robin"),
                std::invalid_argument);
   EXPECT_THROW(core::make_placement_policy(""), std::invalid_argument);
+}
+
+// --- Fleet construction ---------------------------------------------------
+
+std::string profile_text(const device::DeviceSpec& d) {
+  std::ostringstream os;
+  device::save_profile(d, os);
+  return os.str();
+}
+
+/// \p base with every variant factor applied by hand, renamed \p name.
+device::DeviceSpec scaled(device::DeviceSpec base, const std::string& name,
+                          double compute, double bandwidth, double memory) {
+  for (device::ComponentSpec& c : base.components) {
+    c.peak_gflops *= compute;
+    c.mem_bw_gbps *= bandwidth;
+  }
+  base.dram_bw_gbps *= bandwidth;
+  base.memory_budget_bytes *= memory;
+  base.name = name;
+  return base;
+}
+
+TEST(ClusterFleet, StockFleetIsPinnedAndACustomBaseScalesIntoVariants) {
+  // The stock fleet's names and specs are what the daemon, the benches and
+  // saved reports refer to: byte-identical profiles, board for board.
+  const device::DeviceSpec hk = device::make_hikey970();
+  const std::vector<BoardSpec> stock = core::make_heterogeneous_fleet(4);
+  const std::vector<std::string> names = {"hikey970-0", "hikey970-pro-1",
+                                          "hikey970-lite-2", "hikey970-3"};
+  const std::vector<device::DeviceSpec> specs = {
+      scaled(hk, "hikey970", 1.0, 1.0, 1.0),
+      scaled(hk, "hikey970-pro", 1.5, 1.3, 1.5),
+      scaled(hk, "hikey970-lite", 0.6, 0.8, 0.75),
+      scaled(hk, "hikey970", 1.0, 1.0, 1.0)};
+  ASSERT_EQ(stock.size(), names.size());
+  for (std::size_t i = 0; i < stock.size(); ++i) {
+    EXPECT_EQ(stock[i].name, names[i]);
+    EXPECT_EQ(profile_text(stock[i].device), profile_text(specs[i])) << i;
+  }
+
+  // A custom profile scales into the same variants, named after itself.
+  device::DeviceSpec edge = hk;
+  edge.name = "Edge-X";
+  edge.memory_budget_bytes = 1e9;
+  edge.components[0].peak_gflops = 100.0;
+  const std::vector<BoardSpec> custom = core::make_heterogeneous_fleet(3, edge);
+  ASSERT_EQ(custom.size(), 3u);
+  EXPECT_EQ(custom[0].name, "edge-x-0");
+  EXPECT_EQ(custom[1].name, "edge-x-pro-1");
+  EXPECT_EQ(custom[2].name, "edge-x-lite-2");
+  EXPECT_DOUBLE_EQ(custom[0].device.memory_budget_bytes, 1e9);
+  EXPECT_DOUBLE_EQ(custom[1].device.memory_budget_bytes, 1.5e9);
+  EXPECT_DOUBLE_EQ(custom[2].device.components[0].peak_gflops, 60.0);
+  EXPECT_EQ(profile_text(custom[1].device),
+            profile_text(scaled(edge, "edge-x-pro", 1.5, 1.3, 1.5)));
+  EXPECT_EQ(profile_text(custom[2].device),
+            profile_text(scaled(edge, "edge-x-lite", 0.6, 0.8, 0.75)));
 }
 
 TEST(ClusterBounds, MemoryLowerBoundAndLatencyFloorBehave) {

@@ -1,5 +1,5 @@
-// The nn library extensions: Dropout, RMSprop, learning-rate schedulers,
-// Huber loss, and binary parameter serialization.
+// The nn library extensions: RMSprop, learning-rate schedulers, Huber loss,
+// and binary parameter serialization.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <sstream>
 
-#include "nn/dropout.hpp"
 #include "nn/gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
@@ -21,74 +20,6 @@ namespace {
 
 using namespace omniboost;
 using tensor::Tensor;
-
-// --- Dropout ----------------------------------------------------------------
-
-TEST(Dropout, RejectsBadProbability) {
-  EXPECT_THROW(nn::Dropout(-0.1f), std::invalid_argument);
-  EXPECT_THROW(nn::Dropout(1.0f), std::invalid_argument);
-  EXPECT_NO_THROW(nn::Dropout(0.0f));
-}
-
-TEST(Dropout, InferenceIsIdentity) {
-  nn::Dropout drop(0.5f);
-  drop.set_training(false);
-  Tensor x({4, 8}, 1.5f);
-  EXPECT_EQ(drop.forward(x), x);
-  // Backward in inference mode is a pass-through too.
-  Tensor g({4, 8}, 0.25f);
-  EXPECT_EQ(drop.backward(g), g);
-}
-
-TEST(Dropout, ZeroProbabilityIsIdentityInTraining) {
-  nn::Dropout drop(0.0f);
-  drop.set_training(true);
-  Tensor x({2, 5}, 3.0f);
-  EXPECT_EQ(drop.forward(x), x);
-}
-
-TEST(Dropout, TrainingDropsAndRescales) {
-  nn::Dropout drop(0.5f, 42);
-  drop.set_training(true);
-  Tensor x({1, 1000}, 1.0f);
-  const Tensor y = drop.forward(x);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    if (y[i] == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_FLOAT_EQ(y[i], 2.0f);  // survivor scaled by 1/(1-p)
-    }
-  }
-  // Binomial(1000, 0.5): 3-sigma band is about +-47.
-  EXPECT_GT(zeros, 400u);
-  EXPECT_LT(zeros, 600u);
-  // Expected activation preserved (inverted dropout).
-  EXPECT_NEAR(y.mean(), 1.0f, 0.1f);
-}
-
-TEST(Dropout, BackwardUsesForwardMask) {
-  nn::Dropout drop(0.3f, 7);
-  drop.set_training(true);
-  Tensor x({1, 64}, 1.0f);
-  const Tensor y = drop.forward(x);
-  Tensor g({1, 64}, 1.0f);
-  const Tensor gx = drop.backward(g);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    // Gradient flows exactly where the activation survived, with the same
-    // scale factor.
-    EXPECT_FLOAT_EQ(gx[i], y[i]);
-  }
-}
-
-TEST(Dropout, MaskDiffersAcrossCalls) {
-  nn::Dropout drop(0.5f, 3);
-  drop.set_training(true);
-  Tensor x({1, 256}, 1.0f);
-  const Tensor a = drop.forward(x);
-  const Tensor b = drop.forward(x);
-  EXPECT_NE(a, b) << "two forward passes produced the same dropout mask";
-}
 
 // --- RMSprop ----------------------------------------------------------------
 

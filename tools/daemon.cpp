@@ -19,6 +19,10 @@ namespace omniboost::daemon {
 
 namespace {
 
+/// Accept/receive poll granularity: how long (real ms) the daemon waits for
+/// network activity before taking an idle tick.
+constexpr int kIdlePollMs = 20;
+
 std::string trim(const std::string& s) {
   const std::size_t b = s.find_first_not_of(" \t\r");
   if (b == std::string::npos) return "";
@@ -60,7 +64,7 @@ class Daemon {
     std::printf("listening on %u\n", static_cast<unsigned>(listener.port()));
     std::fflush(stdout);
     while (!shutdown_) {
-      util::TcpStream client = listener.accept(config_.idle_poll_ms);
+      util::TcpStream client = listener.accept(kIdlePollMs);
       if (!client.valid()) {
         idle_tick();
         continue;
@@ -78,7 +82,7 @@ class Daemon {
     while (!shutdown_) {
       std::string line;
       const util::TcpStream::RecvStatus st =
-          client.recv_line(&line, config_.idle_poll_ms);
+          client.recv_line(&line, kIdlePollMs);
       if (st == util::TcpStream::RecvStatus::kClosed) return;
       if (st == util::TcpStream::RecvStatus::kTimeout) {
         idle_tick();
@@ -220,7 +224,7 @@ class Daemon {
   /// Installs are not scenario events — they never enter the recorded
   /// trace, so saved traces stay exactly what the operator sent.
   void idle_tick() {
-    if (!config_.background || config_.background_slice_ms <= 0.0) return;
+    if (config_.background_slice_ms <= 0.0) return;
     if (bg_running_ && !pool_.async_active()) {
       pool_.async_join();
       bg_running_ = false;

@@ -32,14 +32,9 @@ struct DaemonConfig {
   /// Scenario seconds per real second (util::PacedClock). CI drives the
   /// daemon at 100 so a multi-minute scenario plays out in seconds.
   double time_scale = 1.0;
-  /// Accept/receive poll granularity: how long (real ms) the daemon waits
-  /// for network activity before taking an idle tick.
-  int idle_poll_ms = 20;
   /// Wall-clock budget of one background re-search slice (BnbConfig
   /// timeout_ms). <= 0 disables background re-search entirely.
   double background_slice_ms = 25.0;
-  /// Master switch for idle-time background re-search.
-  bool background = true;
 };
 
 /// Runs the daemon loop until a `shutdown` command. Blocking; returns the

@@ -5,10 +5,12 @@
 /// mapping plus the board-measured throughput — in text or JSON.
 ///
 /// Two modes: the default one-shot decision for a fixed --mix, and the
-/// `serve` subcommand, which replays a dynamic scenario (model arrivals and
-/// departures, from a trace file or the seeded generator) through the
-/// core::ServingRuntime and reports per-epoch throughput, decision latency
-/// and mapping churn.
+/// `serve` subcommand. `serve` builds one core::Cluster of --boards boards
+/// (one by default) from the device profile, then either replays a dynamic
+/// scenario (model arrivals and departures, from a trace file or the seeded
+/// generator) through it, reporting per-board epochs (throughput, decision
+/// latency, mapping churn) and the fleet summary, or serves live commands
+/// from it as a daemon (--listen).
 ///
 /// Examples:
 ///   omniboost_cli --mix VGG-19,AlexNet,MobileNet
@@ -86,21 +88,63 @@ workload::Workload parse_mix(const std::string& csv) {
   return w;
 }
 
+/// A validated count flag: --<name> as a size_t, at least \p min. Read
+/// through here so a negative value fails at the flag instead of wrapping to
+/// a huge count that dies (or hangs) far away.
+std::size_t get_count(const util::ArgParser& args, const std::string& name,
+                      std::size_t min) {
+  const std::int64_t raw = args.get_int(name);
+  if (raw < static_cast<std::int64_t>(min))
+    throw std::invalid_argument("--" + name + " must be >= " +
+                                std::to_string(min));
+  return static_cast<std::size_t>(raw);
+}
+
+/// The scheduler and design-time knobs both modes share, validated once up
+/// front so a bad count fails whatever the scheduler is.
+struct SchedulerOptions {
+  std::string kind;
+  std::size_t budget = 0;
+  std::size_t depth = 0;
+  std::size_t batch = 0;
+  std::size_t samples = 0;         ///< estimator training workloads
+  std::size_t epochs = 0;          ///< estimator training epochs
+  std::size_t design_workers = 0;  ///< design-time parallelism
+  std::uint64_t seed = 0;
+  double bnb_timeout_ms = 0.0;
+  double rollout_fraction = 0.4;  ///< serve only
+  bool slo_hard_prune = false;    ///< serve only
+};
+
+SchedulerOptions parse_scheduler_options(const util::ArgParser& args) {
+  SchedulerOptions o;
+  o.kind = args.get("scheduler");
+  o.budget = get_count(args, "budget", 1);
+  o.depth = get_count(args, "depth", 1);
+  o.batch = get_count(args, "batch", 1);
+  o.samples = get_count(args, "samples", 1);
+  o.epochs = get_count(args, "epochs", 1);
+  o.design_workers = get_count(args, "design-workers", 0);
+  o.seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  o.bnb_timeout_ms = args.get_double("bnb-timeout-ms");
+  if (o.bnb_timeout_ms < 0.0)
+    throw std::invalid_argument("--bnb-timeout-ms must be >= 0");
+  return o;
+}
+
 std::unique_ptr<core::IScheduler> make_scheduler(
-    const std::string& kind, const models::ModelZoo& zoo,
+    const SchedulerOptions& o, const models::ModelZoo& zoo,
     const device::DeviceSpec& device, const core::EmbeddingTensor& embedding,
-    std::shared_ptr<const core::ThroughputEstimator> estimator,
-    std::size_t budget, std::size_t depth, std::size_t batch,
-    std::uint64_t seed, double rollout_fraction = 0.4,
-    bool slo_hard_prune = false, double bnb_timeout_ms = 0.0) {
+    std::shared_ptr<const core::ThroughputEstimator> estimator) {
+  const std::string& kind = o.kind;
   if (kind == "omniboost") {
     core::OmniBoostConfig cfg;
-    cfg.mcts.budget = budget;
-    cfg.mcts.max_depth = depth;
-    cfg.mcts.seed = seed;
-    cfg.batch_size = batch;
-    cfg.rollout_fraction = rollout_fraction;
-    cfg.slo_hard_prune = slo_hard_prune;
+    cfg.mcts.budget = o.budget;
+    cfg.mcts.max_depth = o.depth;
+    cfg.mcts.seed = o.seed;
+    cfg.batch_size = o.batch;
+    cfg.rollout_fraction = o.rollout_fraction;
+    cfg.slo_hard_prune = o.slo_hard_prune;
     return std::make_unique<core::OmniBoostScheduler>(zoo, embedding,
                                                       std::move(estimator),
                                                       cfg);
@@ -114,7 +158,7 @@ std::unique_ptr<core::IScheduler> make_scheduler(
   }
   if (kind == "ga") {
     sched::GaConfig cfg;
-    cfg.seed = seed;
+    cfg.seed = o.seed;
     return std::make_unique<sched::GaScheduler>(zoo, device, cfg);
   }
   if (kind == "greedy") {
@@ -122,14 +166,14 @@ std::unique_ptr<core::IScheduler> make_scheduler(
   }
   if (kind == "bnb") {
     sched::BnbConfig cfg;
-    cfg.timeout_ms = bnb_timeout_ms;
+    cfg.timeout_ms = o.bnb_timeout_ms;
     return std::make_unique<sched::BranchAndBoundScheduler>("BnB", zoo, device,
                                                             cfg);
   }
   if (kind == "random") {
     sched::LocalSearchConfig cfg;
-    cfg.budget = budget;
-    cfg.seed = seed;
+    cfg.budget = o.budget;
+    cfg.seed = o.seed;
     return std::make_unique<sched::RandomSearchScheduler>(
         "RandomSearch", zoo,
         sched::estimator_evaluator_factory(zoo, embedding,
@@ -138,8 +182,8 @@ std::unique_ptr<core::IScheduler> make_scheduler(
   }
   if (kind == "annealing") {
     sched::AnnealingConfig cfg;
-    cfg.budget = budget;
-    cfg.seed = seed;
+    cfg.budget = o.budget;
+    cfg.seed = o.seed;
     return std::make_unique<sched::SimulatedAnnealingScheduler>(
         "Annealing", zoo,
         sched::estimator_evaluator_factory(zoo, embedding,
@@ -209,22 +253,12 @@ device::DeviceSpec build_device(const util::ArgParser& args) {
              : device::make_hikey970();
 }
 
-/// Validated --design-workers value.
-std::size_t parse_design_workers(const util::ArgParser& args) {
-  const long long raw = args.get_int("design-workers");
-  if (raw < 0) {
-    throw std::invalid_argument(
-        "--design-workers must be >= 0 (0 = sequential paper pipeline)");
-  }
-  return static_cast<std::size_t>(raw);
-}
-
 /// Trains or loads the throughput estimator (shared by both CLI modes; the
 /// relevant options come from declare_common_options on both parsers).
 std::shared_ptr<const core::ThroughputEstimator> prepare_estimator(
-    const util::ArgParser& args, const models::ModelZoo& zoo,
-    const core::EmbeddingTensor& embedding, const sim::DesSimulator& board,
-    std::uint64_t seed, std::size_t design_workers, bool quiet) {
+    const util::ArgParser& args, const SchedulerOptions& opts,
+    const models::ModelZoo& zoo, const core::EmbeddingTensor& embedding,
+    const sim::DesSimulator& board, bool quiet) {
   if (args.has("estimator-file")) {
     const std::string est_path = args.get("estimator-file");
     auto estimator = std::make_shared<const core::ThroughputEstimator>(
@@ -232,22 +266,21 @@ std::shared_ptr<const core::ThroughputEstimator> prepare_estimator(
     if (!quiet) std::printf("loaded estimator from %s\n", est_path.c_str());
     return estimator;
   }
-  if (!quiet)
-    std::printf("training estimator (%lld workloads, %lld epochs)...\n",
-                static_cast<long long>(args.get_int("samples")),
-                static_cast<long long>(args.get_int("epochs")));
   core::DatasetConfig dc;
-  dc.samples = static_cast<std::size_t>(args.get_int("samples"));
-  dc.seed = seed + 41;
-  dc.workers = design_workers;
+  dc.samples = opts.samples;
+  dc.seed = opts.seed + 41;
+  dc.workers = opts.design_workers;
+  nn::TrainConfig tc;
+  tc.epochs = opts.epochs;
+  tc.workers = std::max<std::size_t>(dc.workers, 1);
+  if (!quiet)
+    std::printf("training estimator (%zu workloads, %zu epochs)...\n",
+                dc.samples, tc.epochs);
   const core::SampleSet data =
       core::generate_dataset(zoo, embedding, board, dc);
   auto est = std::make_shared<core::ThroughputEstimator>(
       embedding.models_dim(), embedding.layers_dim());
   nn::L1Loss l1;
-  nn::TrainConfig tc;
-  tc.epochs = static_cast<std::size_t>(args.get_int("epochs"));
-  tc.workers = std::max<std::size_t>(design_workers, 1);
   const auto history = est->fit(data, dc.samples / 5, l1, tc);
   if (!quiet)
     std::printf("final train loss %.4f, val loss %.4f\n",
@@ -274,12 +307,10 @@ int run(int argc, char** argv) {
   if (!args.parse(argc, argv)) return 0;
 
   const workload::Workload w = parse_mix(args.get("mix"));
-  const std::string scheduler_kind = args.get("scheduler");
+  const SchedulerOptions opts = parse_scheduler_options(args);
   // Applied before any network is built: layers capture the default at
   // construction, so this one call covers training, loading, and search.
   apply_kernel_option(args);
-  const std::size_t design_workers = parse_design_workers(args);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
   const bool as_json = args.get_flag("json");
   const bool with_trace = args.get_flag("trace");
   const bool with_gantt = args.get_flag("gantt");
@@ -300,21 +331,12 @@ int run(int argc, char** argv) {
 
   // --- Design time: train or load the estimator (model-driven schedulers).
   std::shared_ptr<const core::ThroughputEstimator> estimator;
-  if (needs_estimator(scheduler_kind)) {
-    estimator = prepare_estimator(args, zoo, embedding, board, seed,
-                                  design_workers, as_json);
+  if (needs_estimator(opts.kind)) {
+    estimator = prepare_estimator(args, opts, zoo, embedding, board, as_json);
   }
 
   // --- Run time: one scheduling decision plus a board measurement.
-  const double bnb_timeout_ms = args.get_double("bnb-timeout-ms");
-  if (bnb_timeout_ms < 0.0)
-    throw std::invalid_argument("--bnb-timeout-ms must be >= 0");
-  auto scheduler = make_scheduler(
-      scheduler_kind, zoo, device, embedding, estimator,
-      static_cast<std::size_t>(args.get_int("budget")),
-      static_cast<std::size_t>(args.get_int("depth")),
-      static_cast<std::size_t>(args.get_int("batch")), seed, 0.4, false,
-      bnb_timeout_ms);
+  auto scheduler = make_scheduler(opts, zoo, device, embedding, estimator);
   const core::ScheduleResult result = scheduler->schedule(w);
 
   const auto nets = w.resolve(zoo);
@@ -439,454 +461,10 @@ int run(int argc, char** argv) {
   return 0;
 }
 
-/// The `serve` subcommand: dynamic multi-DNN serving over a scenario.
-int run_serve(int argc, char** argv) {
-  util::ArgParser args(
-      "omniboost_cli serve",
-      "replay a dynamic arrival/departure scenario through the serving "
-      "runtime and report per-epoch throughput, decision latency and "
-      "mapping churn");
-  args.option("scenario",
-              "scenario trace file (`at <t> <arrive|depart> <model>` lines); "
-              "omit to generate one from the seed")
-      .option("events", "generated scenario: arrive/depart event count", "10")
-      .option("max-concurrent", "generated scenario: concurrency ceiling", "4")
-      .option("min-concurrent", "generated scenario: concurrency floor", "1")
-      .option("depart-bias",
-              "generated scenario: departure probability when legal", "0.4")
-      .option("interarrival", "generated scenario: mean event gap (s)", "5")
-      .option("save-scenario", "write the replayed scenario trace to this path")
-      .option("rollout-fraction",
-              "warm-started incremental budget as a fraction of --budget",
-              "0.4")
-      .option("slo",
-              "latency SLO in ms attached to every arriving stream that "
-              "lacks an explicit `slo` clause; 0 = off",
-              "0")
-      .option("migration-cost",
-              "churn-cost scale: charge each moved segment's weight "
-              "re-upload + warm-up as a one-off stall in the epoch "
-              "measurement (sim::MigrationCostModel); 0 = migrations are "
-              "free (the default)",
-              "0")
-      .option("boards",
-              "fleet size; >1 routes arrivals across a heterogeneous "
-              "core::Cluster instead of one board",
-              "1")
-      .option("arrival",
-              "draw the scenario from a stochastic arrival process instead "
-              "of the event-count generator: poisson:<rate>, "
-              "diurnal:<rate>:<period_s>:<amplitude>, or "
-              "flash:<rate>:<start_s>:<width_s>:<height>")
-      .option("horizon", "arrival process: sampled horizon (s)", "120")
-      .option("lifetime", "arrival process: mean stream lifetime (s)", "20")
-      .option("placement",
-              "cluster routing policy: least-loaded|best-t|memory-headroom",
-              "least-loaded")
-      .option("cross-gbps",
-              "cluster: cross-board weight-transfer bandwidth (GB/s) priced "
-              "into rescue migrations",
-              "1")
-      .option("faults",
-              "weave a seeded board-fault process into the scenario: "
-              "mtbf:<s>:mttr:<s>[:throttle:<fraction>[:<min>:<max>]] — "
-              "routes through the fleet cluster even at --boards 1")
-      .option("decision-deadline-ms",
-              "wrap every scheduler in a wall-clock decision deadline with "
-              "Greedy fallback (sched::FallbackScheduler); 0 serves every "
-              "epoch via Greedy")
-      .option("listen",
-              "run as a live serving daemon on this loopback TCP port "
-              "instead of replaying a scenario (0 = ephemeral, printed as "
-              "`listening on <port>`); drive it with `omniboost_cli client`")
-      .option("time-scale",
-              "daemon: scenario seconds per elapsed real second — commands "
-              "are timestamped at real-elapsed * time-scale (tests use 100 "
-              "to compress idle time)",
-              "1")
-      .option("background-slice-ms",
-              "daemon: wall-clock budget of each idle-time background "
-              "re-search slice (branch-and-bound refinement of an installed "
-              "mapping); 0 disables background re-search",
-              "25");
-  declare_common_options(args);
-  args.flag("cold",
-            "disable warm-started rescheduling: every event gets a cold "
-            "full-budget decision (the stability/latency baseline)")
-      .flag("slo-hard-prune",
-            "hard-prune SLO-breaking candidates in the warm search instead "
-            "of shaping their reward down")
-      .flag("no-migrate",
-            "cluster: disable rescue migrations off saturating boards")
-      .flag("rebalance",
-            "cluster: pull streams back onto boards recovering from a fault")
-      .flag("json", "emit a machine-readable JSON report");
-  if (!args.parse(argc, argv)) return 0;
-
-  apply_kernel_option(args);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  const bool as_json = args.get_flag("json");
-  const bool warm = !args.get_flag("cold");
-  const std::string scheduler_kind = args.get("scheduler");
-  const std::size_t design_workers = parse_design_workers(args);
-
-  // --- The scenario: load a trace, or draw one from the master seed.
-  workload::Scenario scenario;
-  if (args.has("scenario")) {
-    scenario = workload::load_scenario_file(args.get("scenario"));
-  } else if (args.has("arrival")) {
-    workload::ArrivalProcess process =
-        workload::parse_arrival_spec(args.get("arrival"));
-    process.mean_lifetime_s = args.get_double("lifetime");
-    if (args.get_int("max-concurrent") < 1)
-      throw std::invalid_argument("--max-concurrent must be >= 1");
-    process.max_concurrent =
-        std::min<std::size_t>(
-            static_cast<std::size_t>(args.get_int("max-concurrent")),
-            models::kNumModels);
-    util::Rng rng(seed);
-    scenario = workload::sample_scenario(process, args.get_double("horizon"),
-                                         rng);
-    if (scenario.empty())
-      throw std::invalid_argument(
-          "arrival process produced an empty scenario; raise the rate or "
-          "the --horizon");
-  } else {
-    // Validate before the size_t casts: a negative count would wrap to a
-    // huge value and die later with a cryptic allocation error.
-    for (const char* name : {"events", "max-concurrent", "min-concurrent"}) {
-      if (args.get_int(name) < 1)
-        throw std::invalid_argument(std::string("--") + name +
-                                    " must be >= 1");
-    }
-    workload::ScenarioConfig sc;
-    sc.events = static_cast<std::size_t>(args.get_int("events"));
-    sc.max_concurrent = static_cast<std::size_t>(args.get_int("max-concurrent"));
-    sc.min_concurrent = static_cast<std::size_t>(args.get_int("min-concurrent"));
-    sc.depart_bias = args.get_double("depart-bias");
-    sc.mean_interarrival_s = args.get_double("interarrival");
-    util::Rng rng(seed);
-    scenario = workload::random_scenario(rng, sc);
-  }
-  // --- Default SLO: fill in arrivals that do not already carry one, so a
-  // plain trace can be replayed under a uniform latency target.
-  const double default_slo_ms = args.get_double("slo");
-  if (default_slo_ms < 0.0)
-    throw std::invalid_argument("--slo must be >= 0 (milliseconds)");
-  if (default_slo_ms > 0.0) {
-    std::vector<workload::ScenarioEvent> events = scenario.events();
-    for (workload::ScenarioEvent& e : events) {
-      if (e.kind == workload::ScenarioEventKind::kArrive && e.slo_ms <= 0.0)
-        e.slo_ms = default_slo_ms;
-    }
-    scenario = workload::Scenario(std::move(events));
-  }
-
-  const long long boards_raw = args.get_int("boards");
-  if (boards_raw < 1) throw std::invalid_argument("--boards must be >= 1");
-  const auto n_boards = static_cast<std::size_t>(boards_raw);
-
-  // --- Fault weave: draw a board-fault process over the scenario's span and
-  // merge its fail/throttle/recover events in (workload/faults.hpp). The
-  // weave happens before --save-scenario so the saved trace replays the
-  // identical faults.
-  if (args.has("faults")) {
-    const workload::FaultProcess faults =
-        workload::parse_fault_spec(args.get("faults"));
-    scenario = workload::with_faults(scenario, faults, n_boards, seed);
-    if (!as_json)
-      std::printf("fault weave: %s -> %s\n",
-                  workload::describe(faults).c_str(),
-                  scenario.describe().c_str());
-  }
-  if (scenario.fault_board_span() > n_boards)
-    throw std::invalid_argument(
-        "scenario fault events target board " +
-        std::to_string(scenario.fault_board_span() - 1) +
-        " but the fleet has only " + std::to_string(n_boards) +
-        " board(s); raise --boards");
-
-  if (args.has("save-scenario")) {
-    workload::save_scenario_file(scenario, args.get("save-scenario"));
-    if (!as_json)
-      std::printf("wrote scenario trace to %s\n",
-                  args.get("save-scenario").c_str());
-  }
-
-  // --- Substrate + design time, identical to the one-shot mode.
-  const device::DeviceSpec device = build_device(args);
-  const models::ModelZoo zoo;
-  const device::CostModel cost(device);
-  const core::EmbeddingTensor embedding(zoo, cost);
-  const sim::DesSimulator board(device);
-
-  std::shared_ptr<const core::ThroughputEstimator> estimator;
-  if (needs_estimator(scheduler_kind)) {
-    estimator = prepare_estimator(args, zoo, embedding, board, seed,
-                                  design_workers, as_json);
-  }
-
-  const double bnb_timeout_ms = args.get_double("bnb-timeout-ms");
-  if (bnb_timeout_ms < 0.0)
-    throw std::invalid_argument("--bnb-timeout-ms must be >= 0");
-
-  const double migration_cost = args.get_double("migration-cost");
-  if (migration_cost < 0.0)
-    throw std::invalid_argument("--migration-cost must be >= 0");
-  core::ServingConfig sc;
-  sc.warm_start = warm;
-  sc.migration.enabled = migration_cost > 0.0;
-  sc.migration.scale = migration_cost > 0.0 ? migration_cost : 1.0;
-
-  // --- Decision-deadline guard: wrap any scheduler the factories below
-  // build in a FallbackScheduler (wall-clock deadline, retry with backoff,
-  // Greedy fallback). Absent flag = no wrapper, bit-identical to before.
-  const bool deadline_guard = args.has("decision-deadline-ms");
-  const double deadline_ms =
-      deadline_guard ? args.get_double("decision-deadline-ms") : 0.0;
-  if (deadline_guard && deadline_ms < 0.0)
-    throw std::invalid_argument("--decision-deadline-ms must be >= 0");
-  const auto guard = [&](std::unique_ptr<core::IScheduler> inner,
-                         const device::DeviceSpec& dev)
-      -> std::unique_ptr<core::IScheduler> {
-    if (!deadline_guard) return inner;
-    sched::FallbackConfig fc;
-    fc.deadline_ms = deadline_ms;
-    return sched::make_greedy_fallback(std::move(inner), zoo, dev, fc);
-  };
-
-  // --- Daemon mode: hand the substrate to the live serving loop. The
-  // scenario machinery above is bypassed entirely — a daemon's scenario is
-  // whatever its clients send, recorded live and saved via `save-trace`.
-  if (args.has("listen")) {
-    const long long port_raw = args.get_int("listen");
-    if (port_raw < 0 || port_raw > 65535)
-      throw std::invalid_argument("--listen must be a port in 0..65535");
-    core::ClusterConfig cc;
-    cc.serving = sc;
-    cc.migrate = !args.get_flag("no-migrate");
-    cc.rebalance_on_recovery = args.get_flag("rebalance");
-    cc.cross_board_gbps = args.get_double("cross-gbps");
-    if (!(cc.cross_board_gbps > 0.0))
-      throw std::invalid_argument("--cross-gbps must be > 0");
-    const core::Cluster cluster(zoo, core::make_heterogeneous_fleet(n_boards),
-                                cc);
-    const auto policy = core::make_placement_policy(args.get("placement"));
-    const core::SchedulerFactory factory =
-        [&](std::size_t i) -> std::unique_ptr<core::IScheduler> {
-      return guard(
-          make_scheduler(
-              scheduler_kind, zoo, cluster.boards()[i].device, embedding,
-              estimator, static_cast<std::size_t>(args.get_int("budget")),
-              static_cast<std::size_t>(args.get_int("depth")),
-              static_cast<std::size_t>(args.get_int("batch")), seed,
-              args.get_double("rollout-fraction"),
-              args.get_flag("slo-hard-prune"), bnb_timeout_ms),
-          cluster.boards()[i].device);
-    };
-    daemon::DaemonConfig dc;
-    dc.port = static_cast<std::uint16_t>(port_raw);
-    dc.time_scale = args.get_double("time-scale");
-    dc.background_slice_ms = args.get_double("background-slice-ms");
-    dc.background = dc.background_slice_ms > 0.0;
-    return daemon::run_daemon(zoo, cluster, factory, *policy, dc);
-  }
-
-  // --- Fleet mode: route arrivals across a heterogeneous cluster. A fleet
-  // of one stays on the plain ServingRuntime path below (bit-identical to
-  // the pre-cluster CLI) — unless the scenario carries fault events, which
-  // only the cluster can react to.
-  if (boards_raw > 1 || scenario.has_faults()) {
-    core::ClusterConfig cc;
-    cc.serving = sc;
-    cc.migrate = !args.get_flag("no-migrate");
-    cc.rebalance_on_recovery = args.get_flag("rebalance");
-    cc.cross_board_gbps = args.get_double("cross-gbps");
-    if (!(cc.cross_board_gbps > 0.0))
-      throw std::invalid_argument("--cross-gbps must be > 0");
-    const core::Cluster cluster(zoo, core::make_heterogeneous_fleet(n_boards),
-                                cc);
-    const auto policy = core::make_placement_policy(args.get("placement"));
-    // Model-driven schedulers reuse the stock-board embedding/estimator on
-    // every board (the DES measurement stays per-board exact either way);
-    // analytic schedulers are rebuilt against each board's own spec.
-    const core::SchedulerFactory factory =
-        [&](std::size_t i) -> std::unique_ptr<core::IScheduler> {
-      return guard(
-          make_scheduler(
-              scheduler_kind, zoo, cluster.boards()[i].device, embedding,
-              estimator, static_cast<std::size_t>(args.get_int("budget")),
-              static_cast<std::size_t>(args.get_int("depth")),
-              static_cast<std::size_t>(args.get_int("batch")), seed,
-              args.get_double("rollout-fraction"),
-              args.get_flag("slo-hard-prune"), bnb_timeout_ms),
-          cluster.boards()[i].device);
-    };
-    const core::ClusterReport rep = cluster.run(factory, scenario, *policy);
-
-    if (as_json) {
-      util::Json out = util::Json::object();
-      out.set("scenario", util::Json::string(scenario.describe()));
-      out.set("scheduler", util::Json::string(scheduler_kind));
-      out.set("placement", util::Json::string(policy->name()));
-      out.set("boards", util::Json::number(static_cast<double>(n_boards)));
-      out.set("warm_start", util::Json::boolean(warm));
-      util::Json fleet = util::Json::array();
-      for (std::size_t i = 0; i < rep.boards.size(); ++i) {
-        const core::ServingReport& br = rep.boards[i];
-        util::Json j = util::Json::object();
-        j.set("board", util::Json::string(rep.board_names[i]));
-        j.set("epochs", util::Json::number(br.epochs.size()));
-        j.set("decisions", util::Json::number(br.decisions));
-        j.set("mean_throughput_inf_s",
-              util::Json::number(br.mean_throughput));
-        j.set("mean_churn", util::Json::number(br.mean_churn));
-        j.set("slo_streams", util::Json::number(br.total_slo_streams));
-        j.set("slo_violations", util::Json::number(br.total_slo_violations));
-        fleet.push_back(std::move(j));
-      }
-      out.set("fleet", std::move(fleet));
-      out.set("offered_streams", util::Json::number(rep.offered_streams));
-      out.set("admitted_streams", util::Json::number(rep.admitted_streams));
-      out.set("rejected_streams", util::Json::number(rep.rejected_streams));
-      out.set("rejection_rate", util::Json::number(rep.rejection_rate));
-      out.set("departures", util::Json::number(rep.departures));
-      out.set("migrations", util::Json::number(rep.migrations));
-      out.set("cross_board_stall_s",
-              util::Json::number(rep.cross_board_stall_s));
-      out.set("cross_board_weight_bytes",
-              util::Json::number(rep.cross_board_weight_bytes));
-      out.set("board_failures", util::Json::number(rep.board_failures));
-      out.set("board_throttles", util::Json::number(rep.board_throttles));
-      out.set("board_recoveries", util::Json::number(rep.board_recoveries));
-      out.set("failovers", util::Json::number(rep.failovers));
-      out.set("failover_stall_s", util::Json::number(rep.failover_stall_s));
-      out.set("failover_weight_bytes",
-              util::Json::number(rep.failover_weight_bytes));
-      out.set("shed_streams", util::Json::number(rep.shed_streams));
-      out.set("shed_departures", util::Json::number(rep.shed_departures));
-      out.set("rebalances", util::Json::number(rep.rebalances));
-      out.set("downtime_board_s", util::Json::number(rep.downtime_board_s));
-      out.set("degraded_epochs", util::Json::number(rep.degraded_epochs));
-      out.set("resident_streams", util::Json::number(rep.resident_streams));
-      out.set("fleet_throughput_inf_s",
-              util::Json::number(rep.fleet_throughput));
-      out.set("total_decision_seconds",
-              util::Json::number(rep.total_decision_seconds));
-      out.set("total_slo_streams",
-              util::Json::number(rep.total_slo_streams));
-      out.set("total_slo_violations",
-              util::Json::number(rep.total_slo_violations));
-      out.set("total_des_replays",
-              util::Json::number(rep.total_des_replays));
-      out.set("total_replay_hits",
-              util::Json::number(rep.total_replay_hits));
-      out.set("background_searches",
-              util::Json::number(rep.background_searches));
-      out.set("background_improvements",
-              util::Json::number(rep.background_improvements));
-      std::printf("%s\n", out.dump(2).c_str());
-      return 0;
-    }
-
-    std::printf("\nscenario: %s | scheduler: %s | placement: %s | "
-                "%zu boards | warm-started rescheduling: %s\n",
-                scenario.describe().c_str(), scheduler_kind.c_str(),
-                policy->name().c_str(), n_boards, warm ? "on" : "off");
-    // The same formatter renders the daemon's `status` replies, so offline
-    // replays and live sessions are textually comparable line-for-line.
-    std::fputs(core::format_cluster_report(rep).c_str(), stdout);
-    return 0;
-  }
-
-  auto scheduler = guard(
-      make_scheduler(scheduler_kind, zoo, device, embedding, estimator,
-                     static_cast<std::size_t>(args.get_int("budget")),
-                     static_cast<std::size_t>(args.get_int("depth")),
-                     static_cast<std::size_t>(args.get_int("batch")), seed,
-                     args.get_double("rollout-fraction"),
-                     args.get_flag("slo-hard-prune"), bnb_timeout_ms),
-      device);
-
-  // --- Serve.
-  const core::ServingRuntime runtime(zoo, board, sc);
-  const core::ServingReport report = runtime.run(*scheduler, scenario);
-
-  if (as_json) {
-    util::Json out = util::Json::object();
-    out.set("scenario", util::Json::string(scenario.describe()));
-    out.set("scheduler", util::Json::string(scheduler->name()));
-    out.set("warm_start", util::Json::boolean(warm));
-    util::Json epochs = util::Json::array();
-    for (const core::EpochReport& ep : report.epochs) {
-      util::Json j = util::Json::object();
-      j.set("t_s", util::Json::number(ep.time_s));
-      j.set("event", util::Json::string(ep.event));
-      j.set("mix", util::Json::string(ep.mix));
-      // Idle epochs (the mix drained; nothing was scheduled) carry default
-      // decision fields — flag them so consumers can filter without
-      // string-matching the mix label.
-      j.set("idle", util::Json::boolean(ep.mix_size == 0));
-      j.set("mix_size", util::Json::number(ep.mix_size));
-      j.set("feasible", util::Json::boolean(ep.feasible));
-      j.set("decision_seconds",
-            util::Json::number(ep.decision.decision_seconds));
-      j.set("evaluations", util::Json::number(ep.decision.evaluations));
-      j.set("cache_hits", util::Json::number(ep.decision.cache_hits));
-      j.set("des_replays", util::Json::number(ep.decision.des_replays));
-      j.set("replay_hits", util::Json::number(ep.decision.replay_hits));
-      j.set("avg_throughput_inf_s",
-            util::Json::number(ep.measured_throughput));
-      j.set("churn", util::Json::number(ep.churn));
-      j.set("surviving_layers", util::Json::number(ep.surviving_layers));
-      j.set("moved_layers", util::Json::number(ep.moved_layers));
-      j.set("slo_streams", util::Json::number(ep.slo_streams));
-      j.set("slo_violations", util::Json::number(ep.slo_violations));
-      if (ep.slo_streams > 0) {
-        util::Json slos = util::Json::array();
-        util::Json p99s = util::Json::array();
-        for (std::size_t d = 0; d < ep.slo_s.size(); ++d) {
-          slos.push_back(util::Json::number(ep.slo_s[d]));
-          p99s.push_back(util::Json::number(ep.latency_p99_s[d]));
-        }
-        j.set("slo_s", std::move(slos));
-        j.set("latency_p99_s", std::move(p99s));
-      }
-      j.set("migrated_segments", util::Json::number(ep.migrated_segments));
-      j.set("migration_stall_s", util::Json::number(ep.migration_stall_s));
-      j.set("migration_weight_bytes",
-            util::Json::number(ep.migration_weight_bytes));
-      epochs.push_back(std::move(j));
-    }
-    out.set("epochs", std::move(epochs));
-    out.set("decisions", util::Json::number(report.decisions));
-    out.set("mean_throughput_inf_s",
-            util::Json::number(report.mean_throughput));
-    out.set("mean_incremental_decision_seconds",
-            util::Json::number(report.mean_incremental_decision_seconds));
-    out.set("total_decision_seconds",
-            util::Json::number(report.total_decision_seconds));
-    out.set("mean_churn", util::Json::number(report.mean_churn));
-    out.set("total_evaluations", util::Json::number(report.total_evaluations));
-    out.set("total_cache_hits", util::Json::number(report.total_cache_hits));
-    out.set("total_des_replays",
-            util::Json::number(report.total_des_replays));
-    out.set("total_replay_hits",
-            util::Json::number(report.total_replay_hits));
-    out.set("total_slo_streams", util::Json::number(report.total_slo_streams));
-    out.set("total_slo_violations",
-            util::Json::number(report.total_slo_violations));
-    out.set("total_migrated_segments",
-            util::Json::number(report.total_migrated_segments));
-    out.set("total_migration_stall_s",
-            util::Json::number(report.total_migration_stall_s));
-    std::printf("%s\n", out.dump(2).c_str());
-    return 0;
-  }
-
-  std::printf("\nscenario: %s | scheduler: %s | warm-started rescheduling: %s\n",
-              scenario.describe().c_str(), scheduler->name().c_str(),
-              warm ? "on" : "off");
+/// One board's share of a `serve` report: its per-epoch table and summary
+/// footer.
+void print_board_report(const core::ServingReport& report,
+                        bool migration_priced) {
   util::Table table({"t (s)", "event", "mix", "decision s", "evals", "hits",
                      "T inf/s", "churn", "SLO", "stall ms"});
   for (const core::EpochReport& ep : report.epochs) {
@@ -921,10 +499,260 @@ int run_serve(int argc, char** argv) {
   if (report.total_slo_streams > 0)
     std::printf("SLO: %zu violations over %zu stream-epochs under an SLO\n",
                 report.total_slo_violations, report.total_slo_streams);
-  if (runtime.migration_model().enabled())
+  if (migration_priced)
     std::printf("migration: %zu segments moved, %.1f ms total stall charged\n",
                 report.total_migrated_segments,
                 1e3 * report.total_migration_stall_s);
+}
+
+/// The `serve` subcommand: dynamic multi-DNN serving over a scenario.
+int run_serve(int argc, char** argv) {
+  util::ArgParser args(
+      "omniboost_cli serve",
+      "replay a dynamic arrival/departure scenario through a fleet of "
+      "boards and report per-epoch throughput, decision latency and "
+      "mapping churn");
+  args.option("scenario",
+              "scenario trace file (`at <t> <arrive|depart> <model>` lines); "
+              "omit to generate one from the seed")
+      .option("events", "generated scenario: arrive/depart event count", "10")
+      .option("max-concurrent", "generated scenario: concurrency ceiling", "4")
+      .option("min-concurrent", "generated scenario: concurrency floor", "1")
+      .option("depart-bias",
+              "generated scenario: departure probability when legal", "0.4")
+      .option("interarrival", "generated scenario: mean event gap (s)", "5")
+      .option("save-scenario", "write the replayed scenario trace to this path")
+      .option("rollout-fraction",
+              "warm-started incremental budget as a fraction of --budget",
+              "0.4")
+      .option("slo",
+              "latency SLO in ms attached to every arriving stream that "
+              "lacks an explicit `slo` clause; 0 = off",
+              "0")
+      .option("migration-cost",
+              "churn-cost scale: charge each moved segment's weight "
+              "re-upload + warm-up as a one-off stall in the epoch "
+              "measurement (sim::MigrationCostModel); 0 = migrations are "
+              "free (the default)",
+              "0")
+      .option("boards",
+              "fleet size: arrivals are admitted and routed across a "
+              "core::Cluster of this many boards, cycling the device "
+              "profile and its -pro/-lite variants (1 = the profile alone)",
+              "1")
+      .option("arrival",
+              "draw the scenario from a stochastic arrival process instead "
+              "of the event-count generator: poisson:<rate>, "
+              "diurnal:<rate>:<period_s>:<amplitude>, or "
+              "flash:<rate>:<start_s>:<width_s>:<height>")
+      .option("horizon", "arrival process: sampled horizon (s)", "120")
+      .option("lifetime", "arrival process: mean stream lifetime (s)", "20")
+      .option("placement",
+              "cluster routing policy: least-loaded|best-t|memory-headroom",
+              "least-loaded")
+      .option("cross-gbps",
+              "cluster: cross-board weight-transfer bandwidth (GB/s) priced "
+              "into rescue migrations",
+              "1")
+      .option("faults",
+              "weave a seeded board-fault process into the scenario: "
+              "mtbf:<s>:mttr:<s>[:throttle:<fraction>[:<min>:<max>]]")
+      .option("decision-deadline-ms",
+              "wrap every scheduler in a wall-clock decision deadline with "
+              "Greedy fallback (sched::FallbackScheduler); 0 serves every "
+              "epoch via Greedy")
+      .option("listen",
+              "run as a live serving daemon on this loopback TCP port "
+              "instead of replaying a scenario (0 = ephemeral, printed as "
+              "`listening on <port>`); drive it with `omniboost_cli client`")
+      .option("time-scale",
+              "daemon: scenario seconds per elapsed real second — commands "
+              "are timestamped at real-elapsed * time-scale (tests use 100 "
+              "to compress idle time)",
+              "1")
+      .option("background-slice-ms",
+              "daemon: wall-clock budget of each idle-time background "
+              "re-search slice (branch-and-bound refinement of an installed "
+              "mapping); 0 disables background re-search",
+              "25");
+  declare_common_options(args);
+  args.flag("cold",
+            "disable warm-started rescheduling: every event gets a cold "
+            "full-budget decision (the stability/latency baseline)")
+      .flag("slo-hard-prune",
+            "hard-prune SLO-breaking candidates in the warm search instead "
+            "of shaping their reward down")
+      .flag("no-migrate",
+            "cluster: disable rescue migrations off saturating boards")
+      .flag("rebalance",
+            "cluster: pull streams back onto boards recovering from a fault")
+      .flag("json", "emit a machine-readable JSON report");
+  if (!args.parse(argc, argv)) return 0;
+
+  apply_kernel_option(args);
+  SchedulerOptions opts = parse_scheduler_options(args);
+  opts.rollout_fraction = args.get_double("rollout-fraction");
+  opts.slo_hard_prune = args.get_flag("slo-hard-prune");
+  const std::uint64_t seed = opts.seed;
+  const bool as_json = args.get_flag("json");
+  const bool warm = !args.get_flag("cold");
+
+  // --- The scenario: load a trace, or draw one from the master seed.
+  workload::Scenario scenario;
+  if (args.has("scenario")) {
+    scenario = workload::load_scenario_file(args.get("scenario"));
+  } else if (args.has("arrival")) {
+    workload::ArrivalProcess process =
+        workload::parse_arrival_spec(args.get("arrival"));
+    process.mean_lifetime_s = args.get_double("lifetime");
+    process.max_concurrent = std::min<std::size_t>(
+        get_count(args, "max-concurrent", 1), models::kNumModels);
+    util::Rng rng(seed);
+    scenario = workload::sample_scenario(process, args.get_double("horizon"),
+                                         rng);
+    if (scenario.empty())
+      throw std::invalid_argument(
+          "arrival process produced an empty scenario; raise the rate or "
+          "the --horizon");
+  } else {
+    workload::ScenarioConfig sc;
+    sc.events = get_count(args, "events", 1);
+    sc.max_concurrent = get_count(args, "max-concurrent", 1);
+    sc.min_concurrent = get_count(args, "min-concurrent", 1);
+    sc.depart_bias = args.get_double("depart-bias");
+    sc.mean_interarrival_s = args.get_double("interarrival");
+    util::Rng rng(seed);
+    scenario = workload::random_scenario(rng, sc);
+  }
+  // --- Default SLO: fill in arrivals that do not already carry one, so a
+  // plain trace can be replayed under a uniform latency target.
+  const double default_slo_ms = args.get_double("slo");
+  if (default_slo_ms < 0.0)
+    throw std::invalid_argument("--slo must be >= 0 (milliseconds)");
+  if (default_slo_ms > 0.0) {
+    std::vector<workload::ScenarioEvent> events = scenario.events();
+    for (workload::ScenarioEvent& e : events) {
+      if (e.kind == workload::ScenarioEventKind::kArrive && e.slo_ms <= 0.0)
+        e.slo_ms = default_slo_ms;
+    }
+    scenario = workload::Scenario(std::move(events));
+  }
+
+  const std::size_t n_boards = get_count(args, "boards", 1);
+
+  // --- Fault weave: draw a board-fault process over the scenario's span and
+  // merge its fail/throttle/recover events in (workload/faults.hpp). The
+  // weave happens before --save-scenario so the saved trace replays the
+  // identical faults.
+  if (args.has("faults")) {
+    const workload::FaultProcess faults =
+        workload::parse_fault_spec(args.get("faults"));
+    scenario = workload::with_faults(scenario, faults, n_boards, seed);
+    if (!as_json)
+      std::printf("fault weave: %s -> %s\n",
+                  workload::describe(faults).c_str(),
+                  scenario.describe().c_str());
+  }
+  if (scenario.fault_board_span() > n_boards)
+    throw std::invalid_argument(
+        "scenario fault events target board " +
+        std::to_string(scenario.fault_board_span() - 1) +
+        " but the fleet has only " + std::to_string(n_boards) +
+        " board(s); raise --boards");
+
+  if (args.has("save-scenario")) {
+    workload::save_scenario_file(scenario, args.get("save-scenario"));
+    if (!as_json)
+      std::printf("wrote scenario trace to %s\n",
+                  args.get("save-scenario").c_str());
+  }
+
+  // --- Substrate + design time, identical to the one-shot mode.
+  const device::DeviceSpec device = build_device(args);
+  const models::ModelZoo zoo;
+  const device::CostModel cost(device);
+  const core::EmbeddingTensor embedding(zoo, cost);
+
+  std::shared_ptr<const core::ThroughputEstimator> estimator;
+  if (needs_estimator(opts.kind)) {
+    estimator = prepare_estimator(args, opts, zoo, embedding,
+                                  sim::DesSimulator(device), as_json);
+  }
+
+  // --- The fleet: one setup for every board count, offline or live.
+  const double migration_cost = args.get_double("migration-cost");
+  if (migration_cost < 0.0)
+    throw std::invalid_argument("--migration-cost must be >= 0");
+  core::ClusterConfig cc;
+  cc.serving.warm_start = warm;
+  cc.serving.migration.enabled = migration_cost > 0.0;
+  cc.serving.migration.scale = migration_cost > 0.0 ? migration_cost : 1.0;
+  cc.migrate = !args.get_flag("no-migrate");
+  cc.rebalance_on_recovery = args.get_flag("rebalance");
+  cc.cross_board_gbps = args.get_double("cross-gbps");
+  if (!(cc.cross_board_gbps > 0.0))
+    throw std::invalid_argument("--cross-gbps must be > 0");
+  const core::Cluster cluster(
+      zoo, core::make_heterogeneous_fleet(n_boards, device), cc);
+  const auto policy = core::make_placement_policy(args.get("placement"));
+
+  // --- Decision-deadline guard: wrap every board's scheduler in a
+  // FallbackScheduler (wall-clock deadline, retry with backoff, Greedy
+  // fallback). Absent flag = no wrapper, bit-identical to before.
+  const bool deadline_guard = args.has("decision-deadline-ms");
+  const double deadline_ms =
+      deadline_guard ? args.get_double("decision-deadline-ms") : 0.0;
+  if (deadline_guard && deadline_ms < 0.0)
+    throw std::invalid_argument("--decision-deadline-ms must be >= 0");
+  // Model-driven schedulers reuse the profile's embedding/estimator on every
+  // board (the DES measurement stays per-board exact either way); analytic
+  // schedulers are built against each board's own spec.
+  const core::SchedulerFactory factory =
+      [&](std::size_t i) -> std::unique_ptr<core::IScheduler> {
+    const device::DeviceSpec& dev = cluster.boards()[i].device;
+    auto inner = make_scheduler(opts, zoo, dev, embedding, estimator);
+    if (!deadline_guard) return inner;
+    sched::FallbackConfig fc;
+    fc.deadline_ms = deadline_ms;
+    return sched::make_greedy_fallback(std::move(inner), zoo, dev, fc);
+  };
+
+  // --- Daemon mode: hand the fleet to the live serving loop. Its scenario
+  // is whatever its clients send, recorded live and saved via `save-trace`.
+  if (args.has("listen")) {
+    const std::int64_t port_raw = args.get_int("listen");
+    if (port_raw < 0 || port_raw > 65535)
+      throw std::invalid_argument("--listen must be a port in 0..65535");
+    daemon::DaemonConfig dc;
+    dc.port = static_cast<std::uint16_t>(port_raw);
+    dc.time_scale = args.get_double("time-scale");
+    dc.background_slice_ms = args.get_double("background-slice-ms");
+    return daemon::run_daemon(zoo, cluster, factory, *policy, dc);
+  }
+
+  const core::ClusterReport rep = cluster.run(factory, scenario, *policy);
+  if (as_json) {
+    util::Json out = core::to_json(rep);
+    out.set("scenario", util::Json::string(scenario.describe()));
+    out.set("scheduler", util::Json::string(opts.kind));
+    out.set("placement", util::Json::string(policy->name()));
+    out.set("warm_start", util::Json::boolean(warm));
+    std::printf("%s\n", out.dump(2).c_str());
+    return 0;
+  }
+
+  std::printf("\nscenario: %s | scheduler: %s | placement: %s | "
+              "%zu boards | warm-started rescheduling: %s\n",
+              scenario.describe().c_str(), opts.kind.c_str(),
+              policy->name().c_str(), n_boards, warm ? "on" : "off");
+  for (std::size_t i = 0; i < rep.boards.size(); ++i) {
+    std::printf("\nboard %s:\n", rep.board_names[i].c_str());
+    print_board_report(rep.boards[i], cc.serving.migration.enabled);
+  }
+  // The same formatter renders the daemon's `status` replies, so offline
+  // replays and live sessions are textually comparable line-for-line.
+  std::printf("\n");
+  std::fputs(core::format_cluster_report(rep).c_str(), stdout);
   return 0;
 }
 

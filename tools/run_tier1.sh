@@ -122,6 +122,32 @@ if [ -x "$build_dir/omniboost_cli" ]; then
     exit 1
   fi
   echo "daemon smoke: $live"
+
+  # Serve JSON smoke: one report schema at every board count. Each report
+  # must parse and conserve streams, and each board's epoch list must hold
+  # exactly epoch_count entries.
+  if command -v python3 > /dev/null 2>&1; then
+    echo "== serve JSON smoke =="
+    for boards in 1 2; do
+      "$build_dir/omniboost_cli" serve --events 8 --scheduler greedy --json \
+        --boards "$boards" > "$smoke_out/serve-$boards.json"
+      python3 - "$smoke_out/serve-$boards.json" <<'PYEOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["admitted_streams"] == (r["departures"] + r["shed_streams"] +
+                                 r["resident_streams"]), "admitted != served"
+assert r["offered_streams"] == (r["admitted_streams"] +
+                                r["rejected_streams"]), "offered != routed"
+for b in r["fleet"]:
+    assert len(b["epochs"]) == b["epoch_count"], b["board"] + ": epoch_count"
+print(f"serve JSON smoke: {r['boards']} board(s), "
+      f"offered={r['offered_streams']} admitted={r['admitted_streams']}")
+PYEOF
+    done
+  else
+    echo "run_tier1.sh: WARNING: python3 not found, skipping the serve" \
+         "JSON smoke" >&2
+  fi
 fi
 
 if [ "$bench_smoke" -eq 1 ]; then
