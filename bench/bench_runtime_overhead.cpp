@@ -147,14 +147,33 @@ double percentile_ms(std::vector<double> samples, double p) {
   return samples[std::min(idx, samples.size() - 1)];
 }
 
-/// One row of the compute-kernel table: a conv stage of the estimator CNN
-/// timed under the reference, gemm and simd kernels at the production wave
-/// width, with the max pairwise output deviation proving the lowerings
-/// agree. Returns {reference ms, gemm ms, simd ms} so the caller can
+/// The compute-kernel table's agreement gate: every row's max |delta| must
+/// stay within the D3 kernel tolerance (docs/DETERMINISM.md), or the bench
+/// exits non-zero.
+class D3Gate {
+ public:
+  static constexpr double kTolerance = 1e-5;
+
+  void check(const char* row, double max_delta) {
+    if (max_delta <= kTolerance) return;  // a NaN delta fails too
+    ok_ = false;
+    std::fprintf(stderr, "D3 violated: '%s' max |delta| %.3g > %.0e\n", row,
+                 max_delta, kTolerance);
+  }
+  bool ok() const { return ok_; }
+
+ private:
+  bool ok_ = true;
+};
+
+/// One row of the compute-kernel table: an estimator layer timed under the
+/// reference, gemm and simd kernels at the production wave width, with the
+/// max pairwise output deviation proving the lowerings agree (checked by
+/// \p gate). Returns {reference ms, gemm ms, simd ms} so the caller can
 /// publish an aggregate.
-std::array<double, 3> add_kernel_row(util::Table& t, const char* label,
-                                     nn::Module& ref, nn::Module& gemm,
-                                     nn::Module& simd,
+std::array<double, 3> add_kernel_row(util::Table& t, D3Gate& gate,
+                                     const char* label, nn::Module& ref,
+                                     nn::Module& gemm, nn::Module& simd,
                                      const tensor::Tensor& x,
                                      std::size_t inner_reps,
                                      std::size_t repeats) {
@@ -171,6 +190,7 @@ std::array<double, 3> add_kernel_row(util::Table& t, const char* label,
     max_delta = std::max(
         max_delta, std::fabs(static_cast<double>(yb[i]) - yc[i]));
   }
+  gate.check(label, max_delta);
 
   const double scale = 1e3 / static_cast<double>(inner_reps);
   const TimedRuns ref_t = timed_runs(repeats, [&] {
@@ -273,11 +293,13 @@ int main(int argc, char** argv) {
   bench::report("runtime_overhead_batching", bt);
 
   // Compute-kernel ablation: every conv stage of the estimator CNN, the
-  // full batched CNN forward, and the end-to-end decision, each timed under
-  // the bit-frozen reference loops, the im2col+GEMM lowering, and the
-  // runtime-dispatched SIMD micro-kernels (nn::KernelKind). "max |delta|"
-  // certifies equal results: the largest element-wise output difference
-  // across the lowerings, in units of 1e-6.
+  // inference GELU, the full batched CNN forward, and the end-to-end
+  // decision, each timed under the bit-frozen reference loops, the
+  // im2col+GEMM lowering (rational-tanh GELU), and the runtime-dispatched
+  // SIMD micro-kernels (nn::KernelKind). "max |delta|" certifies equal
+  // results: the largest element-wise output difference across the
+  // lowerings, in units of 1e-6. A row above the D3 tolerance fails the run.
+  D3Gate d3;
   {
     const std::size_t m = ctx().embedding().models_dim();
     const std::size_t l = ctx().embedding().layers_dim();
@@ -316,7 +338,7 @@ int main(int argc, char** argv) {
       for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
       const auto [r_ms, g_ms, s_ms] =
-          add_kernel_row(kt, s.label, ref, gemm, simd, x, kernel_reps,
+          add_kernel_row(kt, d3, s.label, ref, gemm, simd, x, kernel_reps,
                          kernel_repeats);
       conv_ref_ms += r_ms;
       conv_gemm_ms += g_ms;
@@ -328,6 +350,18 @@ int main(int argc, char** argv) {
                 util::fmt(conv_simd_ms, 3),
                 util::fmt(conv_ref_ms / conv_gemm_ms, 2),
                 util::fmt(conv_gemm_ms / conv_simd_ms, 2), "-"});
+
+    // The estimator's largest activation: GELU over the stem's output, in
+    // inference mode (the only mode with a non-reference lowering).
+    {
+      nn::GELU ref, gemm, simd;
+      for (nn::Module* g : {&ref, &gemm, &simd}) g->set_training(false);
+      tensor::Tensor x({wave, 8, m, l});
+      for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = static_cast<float>(rng.uniform(-4.0, 4.0));
+      add_kernel_row(kt, d3, "GELU forward (inference)", ref, gemm, simd, x,
+                     kernel_reps, kernel_repeats);
+    }
 
     // Full CNN forward: one batched reward query per kernel kind.
     {
@@ -370,6 +404,7 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < kernel_reps; ++i)
           simd_est->predict_rewards(inputs);
       });
+      d3.check("estimator CNN forward", max_delta);
       kt.add_row({"estimator CNN forward", std::to_string(wave),
                   util::fmt(scale * ref_t.min_s, 3),
                   util::fmt(scale * gemm_t.min_s, 3),
@@ -403,6 +438,7 @@ int main(int argc, char** argv) {
       const double reward_delta =
           std::max(std::fabs(reward[0] - reward[1]),
                    std::fabs(reward[1] - reward[2]));
+      d3.check("decision (500 rollouts)", reward_delta);
       kt.add_row({"decision (500 rollouts)", "16",
                   util::fmt(1e3 * runs[0].min_s, 1),
                   util::fmt(1e3 * runs[1].min_s, 1),
@@ -527,7 +563,7 @@ int main(int argc, char** argv) {
 #ifdef OMNIBOOST_HAVE_GBENCH
   if (bench::smoke()) {
     std::printf("\n[smoke] skipping google-benchmark micro-benchmarks\n");
-    return 0;
+    return d3.ok() ? 0 : 1;
   }
   std::printf("\nmicro-benchmarks (decision latency on this machine):\n");
 
@@ -540,5 +576,5 @@ int main(int argc, char** argv) {
   std::printf("\n[info] built without google-benchmark; micro-benchmark "
               "section skipped\n");
 #endif
-  return 0;
+  return d3.ok() ? 0 : 1;
 }

@@ -1,8 +1,9 @@
 #pragma once
 /// \file kernel.hpp
-/// Kernel selection for the compute-heavy layers (Conv2d, Linear).
+/// Kernel selection for the compute-heavy layers (Conv2d, Linear) and the
+/// inference GELU.
 ///
-/// Three interchangeable lowerings exist for each layer:
+/// Three interchangeable lowerings exist for each conv/linear layer:
 ///  * kReference — the original naive nested loops. Bit-frozen: this path
 ///    is what the paper-reproduction campaigns ran, so it must never change
 ///    numerically ({kernel = reference} reproduces the seed search
@@ -17,6 +18,13 @@
 ///    host without the ISA the layer math silently degrades to kGemm
 ///    (identical contract); resolve_kernel/kernel_resolution_note expose
 ///    the downgrade so front-ends can report it instead of guessing.
+///
+/// GELU has two: kReference evaluates the exact scalar (std::tanh); kGemm
+/// and kSimd share one auto-vectorized loop with a rational tanh, within
+/// 1e-6 * max(1, |x|) of it. The kind only matters in inference: GELU's
+/// training forward and backward are exact under every kind, so training
+/// under kGemm/kSimd differs from kReference only through the conv/linear
+/// lowerings.
 ///
 /// Layers capture the process-wide default at construction time
 /// (set_default_kernel) and can be switched per instance afterwards via

@@ -98,11 +98,19 @@ class BatchNorm2d final : public Module {
 };
 
 /// Gaussian Error Linear Unit (tanh approximation), the paper's activation.
+///
+/// Training-mode forward and backward always use the exact scalar
+/// value()/derivative(), whatever the kernel kind. Inference under kGemm or
+/// kSimd evaluates tanh with a vectorized rational approximation, within
+/// 1e-6 * max(1, |x|) of value(); kReference inference stays on value()
+/// (docs/DETERMINISM.md D3). Inference keeps no backward cache.
 class GELU final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "GELU"; }
+  void set_kernel(KernelKind kind) override { kernel_kind_ = kind; }
+  KernelKind kernel_kind() const { return kernel_kind_; }
 
   /// Scalar GELU (exposed for unit tests).
   static float value(float x);
@@ -110,10 +118,13 @@ class GELU final : public Module {
   static float derivative(float x);
 
  private:
-  Tensor input_;
+  /// Active inference lowering; captured from nn::default_kernel().
+  KernelKind kernel_kind_ = default_kernel();
+  Tensor input_;  ///< cached forward input (training mode only)
 };
 
 /// Rectified linear unit (used by the GELU-vs-ReLU ablation bench).
+/// Inference keeps no backward cache.
 class ReLU final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
@@ -121,7 +132,7 @@ class ReLU final : public Module {
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor input_;
+  Tensor input_;  ///< cached forward input (training mode only)
 };
 
 /// Non-overlapping 2-D max pooling. Trailing rows/cols that do not fill a

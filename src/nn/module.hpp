@@ -70,9 +70,9 @@ class Module {
   bool training() const { return training_; }
 
   /// Selects the compute kernel for layers that have more than one lowering
-  /// (Conv2d, Linear; see nn/kernel.hpp). Containers propagate recursively;
-  /// stateless layers ignore it. Both kinds are deterministic run-to-run;
-  /// only kReference is bit-frozen against the paper campaigns.
+  /// (Conv2d, Linear, GELU; see nn/kernel.hpp). Containers propagate
+  /// recursively; other layers ignore it. Every kind is deterministic
+  /// run-to-run; only kReference is bit-frozen against the paper campaigns.
   virtual void set_kernel(KernelKind /*kind*/) {}
 
   /// Randomly (re-)initializes the layer's parameters.

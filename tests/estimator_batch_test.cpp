@@ -12,6 +12,7 @@
 #include "core/dataset.hpp"
 #include "core/omniboost.hpp"
 #include "models/zoo.hpp"
+#include "nn/kernel.hpp"
 #include "nn/loss.hpp"
 #include "sim/des.hpp"
 #include "util/rng.hpp"
@@ -62,9 +63,9 @@ std::shared_ptr<const core::ThroughputEstimator> trained_estimator() {
 
 TEST(PredictBatch, MatchesPerSamplePredictAcrossZooModels) {
   // One single-model workload per zoo DNN, several random mappings each:
-  // the batched forward must reproduce the scalar path to 1e-6 on every
-  // output (it is bit-identical by construction; the tolerance guards the
-  // contract, not the implementation).
+  // under every kernel kind the batched forward must reproduce the scalar
+  // path bit for bit on every output (the nn/module.hpp batch contract; for
+  // the vectorized GELU it also guards the loop's tail handling).
   core::ThroughputEstimator est(embedding().models_dim(),
                                 embedding().layers_dim());
   util::Rng rng(23);
@@ -82,16 +83,22 @@ TEST(PredictBatch, MatchesPerSamplePredictAcrossZooModels) {
         w, workload::random_mapping(rng, zoo(), w, 3)));
   }
 
-  const auto batched = est.predict_batch(inputs);
-  const auto rewards = est.predict_rewards(inputs);
-  ASSERT_EQ(batched.size(), inputs.size());
-  ASSERT_EQ(rewards.size(), inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const auto scalar = est.predict(inputs[i]);
-    for (std::size_t d = 0; d < 3; ++d)
-      EXPECT_NEAR(batched[i][d], scalar[d], 1e-6)
-          << "sample " << i << " output " << d;
-    EXPECT_NEAR(rewards[i], est.predict_reward(inputs[i]), 1e-6);
+  for (const nn::KernelKind kind :
+       {nn::KernelKind::kReference, nn::KernelKind::kGemm,
+        nn::KernelKind::kSimd}) {
+    est.set_kernel(kind);
+    const auto batched = est.predict_batch(inputs);
+    const auto rewards = est.predict_rewards(inputs);
+    ASSERT_EQ(batched.size(), inputs.size());
+    ASSERT_EQ(rewards.size(), inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const auto scalar = est.predict(inputs[i]);
+      for (std::size_t d = 0; d < 3; ++d)
+        EXPECT_EQ(batched[i][d], scalar[d])
+            << nn::kernel_name(kind) << " sample " << i << " output " << d;
+      EXPECT_EQ(rewards[i], est.predict_reward(inputs[i]))
+          << nn::kernel_name(kind) << " sample " << i;
+    }
   }
 
   EXPECT_TRUE(est.predict_batch({}).empty());

@@ -1,6 +1,9 @@
 // The kernel-selection contract (nn/kernel.hpp):
 //  * gemm vs reference and simd vs gemm parity for Conv2d / Linear,
 //    forward and backward, across adversarial shapes
+//  * the GELU inference lowering: the gemm/simd rational tanh within
+//    1e-6 * max(1, |x|) of the exact scalar, NaN propagation, and bit-exact
+//    reference inference and training under every kind
 //  * bit-determinism of each kernel kind run-to-run
 //  * end-to-end estimator parity (<= 1e-6 gemm, <= 1e-5 simd) on every zoo
 //    model
@@ -11,7 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -101,6 +108,8 @@ TEST(KernelKnob, LayersCaptureTheProcessDefault) {
   nn::set_default_kernel(KernelKind::kGemm);
   nn::Linear fc(4, 2);
   EXPECT_EQ(fc.kernel_kind(), KernelKind::kGemm);
+  nn::GELU gelu;
+  EXPECT_EQ(gelu.kernel_kind(), KernelKind::kGemm);
   conv.set_kernel(KernelKind::kGemm);
   EXPECT_EQ(conv.kernel_kind(), KernelKind::kGemm);
   nn::set_default_kernel(before);
@@ -232,6 +241,123 @@ TEST(LinearKernelParity, ForwardAndBackwardMatchReference) {
       EXPECT_LT(max_abs_diff(pa[p]->grad, pb[p]->grad), 1e-5);
       EXPECT_LT(max_abs_diff(pb[p]->grad, pc[p]->grad), 1e-5);
     }
+  }
+}
+
+// --- GELU inference lowering -------------------------------------------------
+
+/// GELU forward of \p xs, as one rank-1 tensor, under \p kind.
+Tensor gelu_forward(KernelKind kind, const std::vector<float>& xs,
+                    bool training) {
+  nn::GELU gelu;
+  gelu.set_kernel(kind);
+  gelu.set_training(training);
+  return gelu.forward(Tensor::from_vector(xs));
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+std::size_t bit_mismatches(const Tensor& a, const Tensor& b) {
+  EXPECT_EQ(a.shape(), b.shape());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    n += float_bits(a[i]) != float_bits(b[i]);
+  return n;
+}
+
+/// [-20, 20] in 1e-4 steps, plus the edges of the rational tanh: signed
+/// zeros, denormals and tiny inputs, the inputs whose tanh argument lands on
+/// the +-7.90531 clamp (with their float neighbours), and large magnitudes.
+std::vector<float> gelu_probe_inputs() {
+  std::vector<float> xs;
+  for (int i = -200000; i <= 200000; ++i)
+    xs.push_back(static_cast<float>(i * 1e-4));
+  for (const float t :
+       {0.0f, std::numeric_limits<float>::denorm_min(), 1e-40f,
+        std::numeric_limits<float>::min(), 1e-7f, 1e-4f, 4e-4f, 1e-3f, 1e3f}) {
+    xs.push_back(t);
+    xs.push_back(-t);
+  }
+  // Newton on sqrt(2/pi) * (x + 0.044715 x^3) = 7.90531 (the clamp).
+  const double k = 0.7978845608028654, c = 0.044715;
+  double r = 3.0;
+  for (int it = 0; it < 50; ++it)
+    r -= (k * (r + c * r * r * r) - 7.90531110763549805) /
+         (k * (1.0 + 3.0 * c * r * r));
+  float e = static_cast<float>(r);
+  for (int step = 0; step < 4; ++step) e = std::nextafter(e, 0.0f);
+  for (int step = 0; step < 9; ++step) {
+    xs.push_back(e);
+    xs.push_back(-e);
+    e = std::nextafter(e, 100.0f);
+  }
+  return xs;
+}
+
+TEST(GeluKernel, FastInferenceWithin1e6RelativeOfTheExactScalar) {
+  const std::vector<float> xs = gelu_probe_inputs();
+  for (const KernelKind kind : {KernelKind::kGemm, KernelKind::kSimd}) {
+    const Tensor y = gelu_forward(kind, xs, /*training=*/false);
+    ASSERT_EQ(y.size(), xs.size());
+    double worst = 0.0;  // error in units of max(1, |x|); NaN counts as worst
+    float worst_x = 0.0f;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const double err =
+          std::fabs(static_cast<double>(y[i]) - nn::GELU::value(xs[i])) /
+          std::max(1.0, std::fabs(static_cast<double>(xs[i])));
+      if (!(err <= worst)) {
+        worst = err;
+        worst_x = xs[i];
+      }
+    }
+    EXPECT_LE(worst, 1e-6) << nn::kernel_name(kind) << " at x = " << worst_x;
+  }
+}
+
+TEST(GeluKernel, NanPropagatesUnderEveryKind) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const KernelKind kind :
+       {KernelKind::kReference, KernelKind::kGemm, KernelKind::kSimd}) {
+    for (const bool training : {false, true}) {
+      const Tensor y = gelu_forward(kind, {1.0f, nan, -nan, 2.0f}, training);
+      EXPECT_TRUE(std::isnan(y[1])) << nn::kernel_name(kind);
+      EXPECT_TRUE(std::isnan(y[2])) << nn::kernel_name(kind);
+      EXPECT_FALSE(std::isnan(y[0]) || std::isnan(y[3]));
+    }
+  }
+}
+
+TEST(GeluKernel, ReferenceInferenceIsBitExact) {
+  const std::vector<float> xs = gelu_probe_inputs();
+  Tensor exact = Tensor::from_vector(xs);
+  for (std::size_t i = 0; i < exact.size(); ++i)
+    exact[i] = nn::GELU::value(exact[i]);
+  EXPECT_EQ(bit_mismatches(gelu_forward(KernelKind::kReference, xs, false),
+                           exact),
+            0u);
+}
+
+TEST(GeluKernel, TrainingIsBitExactUnderEveryKind) {
+  // Design-time training never sees the rational tanh: forward and backward
+  // under gemm/simd are the reference computation, bit for bit.
+  const std::vector<float> xs = gelu_probe_inputs();
+  util::Rng rng(41);
+  const Tensor g = random_tensor({xs.size()}, rng);
+  nn::GELU ref;
+  ref.set_kernel(KernelKind::kReference);
+  const Tensor y_ref = ref.forward(Tensor::from_vector(xs));
+  const Tensor gx_ref = ref.backward(g);
+  for (const KernelKind kind : {KernelKind::kGemm, KernelKind::kSimd}) {
+    nn::GELU gelu;
+    gelu.set_kernel(kind);
+    EXPECT_EQ(bit_mismatches(gelu.forward(Tensor::from_vector(xs)), y_ref), 0u)
+        << nn::kernel_name(kind);
+    EXPECT_EQ(bit_mismatches(gelu.backward(g), gx_ref), 0u)
+        << nn::kernel_name(kind);
   }
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "nn/layers.hpp"
@@ -193,6 +195,31 @@ TEST(ReLU, ClampsNegatives) {
   EXPECT_EQ(y[0], 0.0f);
   EXPECT_EQ(y[1], 0.0f);
   EXPECT_EQ(y[2], 2.0f);
+}
+
+TEST(Activations, BackwardAfterAnEvalForwardFailsTheForwardCheck) {
+  // Inference keeps no backward cache, and an eval forward drops the one a
+  // training forward left: backward then fails the "backward before
+  // forward" precondition instead of differentiating a stale input.
+  const Tensor x = Tensor::from_vector({-1.0f, 0.5f, 2.0f});
+  const Tensor g = Tensor::from_vector({1.0f, 1.0f, 1.0f});
+  GELU gelu;
+  ReLU relu;
+  for (Module* m : std::vector<Module*>{&gelu, &relu}) {
+    m->set_training(true);
+    m->forward(x);
+    EXPECT_NO_THROW(m->backward(g)) << m->name();
+    m->set_training(false);
+    m->forward(x);
+    try {
+      m->backward(g);
+      ADD_FAILURE() << m->name() << "::backward after an eval forward";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("backward before forward"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MaxPool2d, SelectsWindowMaximum) {
