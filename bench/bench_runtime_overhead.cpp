@@ -494,72 +494,6 @@ int main(int argc, char** argv) {
     bench::report("runtime_overhead_warm_percentiles", wt);
   }
 
-  // SLO-shaped warm decisions, replay memo on vs off: same scenario (every
-  // stream under a generous SLO, DES board replays shaping each candidate),
-  // counting executed DES replays vs memo hits. The memo must leave every
-  // decision bit-identical — the "identical" column re-checks the contract
-  // on this host's float environment.
-  {
-    const std::size_t slo_n = bench::scaled(12, 4);
-    std::printf("\nSLO-shaped warm decisions, replay memo off vs on (%zu "
-                "decisions each):\n",
-                slo_n);
-    struct SloRun {
-      std::size_t des_replays = 0;
-      std::size_t replay_hits = 0;
-      std::vector<double> ms;
-      std::vector<std::uint64_t> mapping_hashes;
-      std::vector<double> rewards;
-    };
-    const auto run_variant = [&](bool memo_on) {
-      core::OmniBoostConfig cfg;
-      cfg.mcts.budget = budget;
-      cfg.batch_size = 16;
-      cfg.kernel = nn::KernelKind::kSimd;
-      cfg.replay_memo = memo_on;
-      core::OmniBoostScheduler sched(ctx().zoo(), ctx().embedding(),
-                                     ctx().estimator(), cfg);
-      const core::ScheduleResult cold = sched.schedule(mix());
-      core::ScheduleContext sctx;
-      sctx.previous_workload = mix();
-      sctx.carried_from = {0, 1, 2, 3};
-      sctx.slo_s = std::vector<double>(mix().size(), 0.5);
-      sctx.board = &ctx().board();
-      SloRun out;
-      sim::Mapping prev = cold.mapping;
-      for (std::size_t i = 0; i < slo_n; ++i) {
-        const core::ScheduleResult r = sched.reschedule(mix(), prev, sctx);
-        out.des_replays += r.des_replays;
-        out.replay_hits += r.replay_hits;
-        out.ms.push_back(1e3 * r.decision_seconds);
-        out.mapping_hashes.push_back(r.mapping.hash());
-        out.rewards.push_back(r.expected_reward);
-        prev = r.mapping;
-      }
-      return out;
-    };
-    const SloRun off = run_variant(false);
-    const SloRun on = run_variant(true);
-    const bool identical = off.mapping_hashes == on.mapping_hashes &&
-                           off.rewards == on.rewards;
-    util::Table st({"replay memo", "decisions", "DES replays", "replay hits",
-                    "replays/decision", "p50 (ms)", "p99 (ms)", "identical"});
-    const auto add_slo_row = [&](const char* label, const SloRun& r,
-                                 const char* ident) {
-      st.add_row({label, std::to_string(slo_n),
-                  std::to_string(r.des_replays),
-                  std::to_string(r.replay_hits),
-                  util::fmt(static_cast<double>(r.des_replays) /
-                                static_cast<double>(slo_n),
-                            1),
-                  util::fmt(percentile_ms(r.ms, 0.50), 2),
-                  util::fmt(percentile_ms(r.ms, 0.99), 2), ident});
-    };
-    add_slo_row("off", off, "baseline");
-    add_slo_row("on", on, identical ? "yes" : "NO");
-    bench::report("runtime_overhead_slo_replay", st);
-  }
-
 #ifdef OMNIBOOST_HAVE_GBENCH
   if (bench::smoke()) {
     std::printf("\n[smoke] skipping google-benchmark micro-benchmarks\n");

@@ -117,7 +117,6 @@ util::Json epoch_json(const EpochReport& ep) {
   num("evaluations", ep.decision.evaluations);
   num("cache_hits", ep.decision.cache_hits);
   num("des_replays", ep.decision.des_replays);
-  num("replay_hits", ep.decision.replay_hits);
   num("avg_throughput_inf_s", ep.measured_throughput);
   num("churn", ep.churn);
   num("surviving_layers", ep.surviving_layers);
@@ -158,7 +157,6 @@ util::Json board_json(const std::string& name, const ServingReport& r) {
   num("total_evaluations", r.total_evaluations);
   num("total_cache_hits", r.total_cache_hits);
   num("total_des_replays", r.total_des_replays);
-  num("total_replay_hits", r.total_replay_hits);
   num("slo_streams", r.total_slo_streams);
   num("slo_violations", r.total_slo_violations);
   num("total_migrated_segments", r.total_migrated_segments);
@@ -669,7 +667,6 @@ ClusterReport ClusterSession::finish() const {
     report.total_evaluations += b.total_evaluations;
     report.total_cache_hits += b.total_cache_hits;
     report.total_des_replays += b.total_des_replays;
-    report.total_replay_hits += b.total_replay_hits;
     report.total_migrated_segments += b.total_migrated_segments;
     report.total_migration_stall_s += b.total_migration_stall_s;
   }
@@ -799,7 +796,6 @@ util::Json to_json(const ClusterReport& report) {
   num("total_slo_streams", report.total_slo_streams);
   num("total_slo_violations", report.total_slo_violations);
   num("total_des_replays", report.total_des_replays);
-  num("total_replay_hits", report.total_replay_hits);
   num("total_migrated_segments", report.total_migrated_segments);
   num("total_migration_stall_s", report.total_migration_stall_s);
   num("background_searches", report.background_searches);

@@ -196,7 +196,6 @@ struct ClusterReport {
   std::size_t total_evaluations = 0;
   std::size_t total_cache_hits = 0;
   std::size_t total_des_replays = 0;
-  std::size_t total_replay_hits = 0;
   std::size_t total_migrated_segments = 0;
   double total_migration_stall_s = 0.0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -28,16 +27,6 @@ class StopWatch {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// IEEE-754 bit pattern of a double — the replay-memo key fingerprints
-/// delays/throttle through this so hashing and equality agree on every
-/// value (raw doubles would hash 0.0 and -0.0 apart yet compare equal).
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
 
 }  // namespace
 
@@ -188,51 +177,21 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
       std::any_of(ctx.slo_s.begin(), ctx.slo_s.end(),
                   [](double s) { return s > 0.0; });
 
-  // Mix signature: keys both the carried evaluation memos and the replay
-  // memos below.
-  std::string signature;
-  for (const models::ModelId id : w.mix) {
-    signature += std::to_string(models::model_index(id));
-    signature += ',';
-  }
-
   // Candidate nets for the SLO replays, resolved ONCE per decision at
   // function scope. The resolution depends only on the workload; rebuilding
   // it inside the replay closure would redo the zoo lookups for every
   // expansion wave of the search.
   sim::NetworkList slo_nets;
 
-  // Replay accounting: {executed DES replays, memo hits}. Shared with the
-  // wrapper closure so the counts survive the evaluator handoff into Mcts.
-  const auto replay_stats =
-      std::make_shared<std::pair<std::size_t, std::size_t>>();
+  // Executed DES replays, counted by the wrapper closure below (which,
+  // like slo_nets, never outlives this call).
+  std::size_t des_replays = 0;
 
   BatchMappingEvaluator evaluator = batch_evaluator(w, active_estimator());
   if (slo_aware) {
     OB_REQUIRE(config_.slo_shape > 0.0 && config_.slo_shape <= 1.0,
                "OmniBoostScheduler: slo_shape must be in (0, 1]");
     slo_nets = w.resolve(*zoo_);
-
-    // Replay memo: a DES replay trace is a pure function of (mix, mapping,
-    // start delays, board throttle) — the SLO vector only interprets the
-    // trace, and violations are recomputed below from the CURRENT slo — so
-    // traces memoized under that key replay bit-exactly across decisions on
-    // the same mix. The fresh-per-reschedule Mcts replays its fixed rollout
-    // seed, so a repeated warm decision re-proposes the same candidates and
-    // answers them from here. Validity: the key assumes one board and one
-    // SLO contract; drop everything when either moves (set_config() also
-    // clears).
-    ReplayMemo* memo = nullptr;
-    if (config_.replay_memo) {
-      if (replay_board_ != ctx.board || replay_slo_ != ctx.slo_s) {
-        replay_memos_.clear();
-        replay_board_ = ctx.board;
-        replay_slo_ = ctx.slo_s;
-      }
-      ReplayMemo& slot = replay_memos_[signature];
-      slot.last_used = ++memo_clock_;
-      memo = &slot;
-    }
 
     // Wrap the estimator evaluator: DES-replay each candidate and shape
     // down / hard-prune SLO breakers. A stream that serves no frame inside
@@ -247,49 +206,24 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
                  migration = ctx.migration, &nets = slo_nets,
                  slo = ctx.slo_s, previous, carried = ctx.carried_from,
                  shape = config_.slo_shape, hard = config_.slo_hard_prune,
-                 memo, stats = replay_stats](
+                 &replays = des_replays](
                     const std::vector<sim::Mapping>& mappings) {
       std::vector<double> rewards = base(mappings);
-      const std::uint64_t throttle_bits = double_bits(board->throttle());
       for (std::size_t i = 0; i < mappings.size(); ++i) {
         std::vector<double> delays;
         if (migration != nullptr && migration->enabled())
           delays = migration->assess(nets, previous, carried, mappings[i])
                        .stream_delay_s;
-        // Serve the replay from the memo when possible; memoized traces are
-        // the exact TracedResult doubles of the original run, so the shaped
-        // rewards below are bit-identical memo-on vs memo-off.
-        const sim::DesSimulator::TracedResult* replay = nullptr;
-        sim::DesSimulator::TracedResult fresh;
-        if (memo != nullptr) {
-          ReplayKey key;
-          key.mapping = mappings[i];
-          key.throttle_bits = throttle_bits;
-          key.delay_bits.reserve(delays.size());
-          for (const double d : delays) key.delay_bits.push_back(double_bits(d));
-          const auto it = memo->entries.find(key);
-          if (it != memo->entries.end()) {
-            ++stats->second;  // memo hit
-            replay = &it->second;
-          } else {
-            ++stats->first;  // executed replay
-            const auto ins = memo->entries.emplace(
-                std::move(key),
-                board->simulate_traced(nets, mappings[i], delays));
-            replay = &ins.first->second;
-          }
-        } else {
-          ++stats->first;
-          fresh = board->simulate_traced(nets, mappings[i], delays);
-          replay = &fresh;
-        }
+        ++replays;
+        const sim::DesSimulator::TracedResult replay =
+            board->simulate_traced(nets, mappings[i], delays);
         std::size_t violations = 0;
         for (std::size_t d = 0; d < slo.size(); ++d) {
           // sim::breaks_slo is the SAME predicate the serving runtime
           // counts violations with — the search must never optimize a
           // different definition of "violating" than the one it is
           // measured against.
-          if (sim::breaks_slo(replay->report, replay->trace, d, slo[d]))
+          if (sim::breaks_slo(replay.report, replay.trace, d, slo[d]))
             ++violations;
         }
         if (violations == 0) continue;
@@ -322,10 +256,14 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
   // revived whenever the scenario returns to a mix it has scheduled before.
   // SLO-shaped rewards additionally depend on the previous mapping and the
   // epoch's SLOs, so SLO-aware decisions bypass the carried memos entirely
-  // (private per-decision memo) rather than poison them — the replay memo
-  // above carries the SLO-independent DES traces instead.
+  // (private per-decision memo) rather than poison them.
   const bool carry_memo = config_.cache && !slo_aware;
+  std::string signature;
   if (carry_memo) {
+    for (const models::ModelId id : w.mix) {
+      signature += std::to_string(models::model_index(id));
+      signature += ',';
+    }
     CarriedMemo& carried = carried_memos_[signature];
     carried.last_used = ++memo_clock_;
     warm.memo = &carried.memo;
@@ -338,15 +276,13 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
   search.set_warm_start(std::move(warm));
   const MctsResult r = search.search();
   if (carry_memo) evict_carried_memos(signature);
-  if (slo_aware && config_.replay_memo) evict_replay_memos(signature);
 
   ScheduleResult out;
   out.mapping = r.best_mapping;
   out.expected_reward = r.best_reward;
   out.evaluations = r.evaluations;
   out.cache_hits = r.cache_hits;
-  out.des_replays = replay_stats->first;
-  out.replay_hits = replay_stats->second;
+  out.des_replays = des_replays;
   out.decision_seconds = timer.seconds();
   return out;
 }
@@ -358,34 +294,6 @@ std::size_t OmniBoostScheduler::carried_memo_footprint() const {
     entries += carried.memo.size();
   }
   return entries;
-}
-
-std::size_t OmniBoostScheduler::replay_memo_footprint() const {
-  std::size_t entries = 0;
-  for (const auto& [signature, memo] : replay_memos_) {
-    (void)signature;
-    entries += memo.entries.size();
-  }
-  return entries;
-}
-
-void OmniBoostScheduler::evict_replay_memos(const std::string& keep) {
-  if (config_.replay_memo_entries == 0) return;  // unbounded
-  // Same policy as evict_carried_memos: drop whole least-recently-used
-  // mixes' memos, never the mix just rescheduled.
-  while (replay_memo_footprint() > config_.replay_memo_entries &&
-         replay_memos_.size() > 1) {
-    auto victim = replay_memos_.end();
-    for (auto it = replay_memos_.begin(); it != replay_memos_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == replay_memos_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == replay_memos_.end()) break;
-    replay_memos_.erase(victim);
-  }
 }
 
 void OmniBoostScheduler::evict_carried_memos(const std::string& keep) {

@@ -7,13 +7,11 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "core/embedding.hpp"
 #include "core/estimator.hpp"
 #include "core/mcts.hpp"
 #include "core/scheduler.hpp"
-#include "sim/des.hpp"
 
 namespace omniboost::core {
 
@@ -85,21 +83,6 @@ struct OmniBoostConfig {
   /// never outrank a clean one. The search still returns SOME mapping when
   /// every candidate violates (least-violating, estimator-best among ties).
   bool slo_hard_prune = false;
-  /// Replay memoization for SLO-shaped warm decisions: DES replay traces
-  /// are a pure function of (mix, candidate mapping, per-stream start
-  /// delays, board throttle) — SLOs only interpret the trace — so replays
-  /// are memoized under exactly that key and carried across reschedule()
-  /// calls on the same mix. A repeated warm decision answers its candidate
-  /// replays from the memo (ScheduleResult::replay_hits) instead of
-  /// re-running the DES; decisions are bit-identical with the memo on or
-  /// off (pinned by tests/replay_memo_test.cpp). The memo is dropped
-  /// whenever its purity inputs may have moved: set_config(), a different
-  /// board instance, or a changed SLO vector (conservative — SLOs don't
-  /// enter the key, but a changed contract is the natural epoch boundary).
-  bool replay_memo = true;
-  /// Retention cap on the replay memos, in total key->trace entries across
-  /// all mixes (LRU by mix, like carried_memo_entries). 0 = unbounded.
-  std::size_t replay_memo_entries = 50'000;
 };
 
 /// Production scheduler: estimator-guided Monte Carlo Tree Search.
@@ -141,25 +124,9 @@ class OmniBoostScheduler final : public IScheduler {
                             const sim::Mapping& previous,
                             const ScheduleContext& ctx) override;
 
-  /// Replaces the search configuration (budget sweeps in the ablations).
-  /// Drops the carried evaluation memos AND the replay memos: a new kernel
-  /// or evaluator setup may score mappings differently, and replayed
-  /// rewards/traces must stay exact.
-  void set_config(const OmniBoostConfig& config) {
-    config_ = config;
-    carried_memos_.clear();
-    replay_memos_.clear();
-    replay_board_ = nullptr;
-    replay_slo_.clear();
-  }
-
   /// Total mapping->reward entries currently retained across the carried
   /// memos (diagnostics; tests pin the eviction policy through this).
   std::size_t carried_memo_footprint() const;
-
-  /// Total key->trace entries currently retained across the replay memos
-  /// (diagnostics; tests pin the purity/eviction contract through this).
-  std::size_t replay_memo_footprint() const;
 
  private:
   /// The estimator instance the search should query: the shared one when
@@ -179,8 +146,6 @@ class OmniBoostScheduler final : public IScheduler {
   /// Drops least-recently-used mixes' memos until the configured entry cap
   /// holds again (keeping \p keep, the mix just rescheduled).
   void evict_carried_memos(const std::string& keep);
-  /// Same policy for the replay memos (cap: replay_memo_entries).
-  void evict_replay_memos(const std::string& keep);
 
   const models::ModelZoo* zoo_;
   const EmbeddingTensor* embedding_;
@@ -198,47 +163,6 @@ class OmniBoostScheduler final : public IScheduler {
   /// Bounded by OmniBoostConfig::carried_memo_entries (LRU per mix).
   std::unordered_map<std::string, CarriedMemo> carried_memos_;
   std::uint64_t memo_clock_ = 0;
-
-  /// Purity key of one DES candidate replay. The delays and the throttle
-  /// are fingerprinted to their IEEE-754 bit patterns at construction so
-  /// hashing and equality agree on every value the DES could see (a raw
-  /// double key would hash 0.0 and -0.0 apart while comparing them equal).
-  struct ReplayKey {
-    sim::Mapping mapping;
-    std::vector<std::uint64_t> delay_bits;
-    std::uint64_t throttle_bits = 0;
-    bool operator==(const ReplayKey& rhs) const {
-      return throttle_bits == rhs.throttle_bits &&
-             delay_bits == rhs.delay_bits && mapping == rhs.mapping;
-    }
-  };
-  struct ReplayKeyHasher {
-    std::size_t operator()(const ReplayKey& k) const {
-      // FNV-1a over the delay/throttle bits, seeded by the mapping hash.
-      std::uint64_t h = k.mapping.hash() ^ 0xcbf29ce484222325ULL;
-      const auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-      };
-      mix(k.throttle_bits);
-      for (const std::uint64_t b : k.delay_bits) mix(b);
-      return static_cast<std::size_t>(h);
-    }
-  };
-  /// One per-mix replay memo with its LRU stamp.
-  struct ReplayMemo {
-    std::unordered_map<ReplayKey, sim::DesSimulator::TracedResult,
-                       ReplayKeyHasher>
-        entries;
-    std::uint64_t last_used = 0;
-  };
-  /// Per-mix DES replay memos carried across SLO-aware reschedule() calls,
-  /// keyed by the mix signature like carried_memos_. Valid only while the
-  /// board and the SLO vector below still match the context (checked per
-  /// decision; cleared on mismatch and by set_config()).
-  std::unordered_map<std::string, ReplayMemo> replay_memos_;
-  const sim::DesSimulator* replay_board_ = nullptr;
-  std::vector<double> replay_slo_;
 };
 
 /// Generic search-based scheduler around an arbitrary mapping evaluator —

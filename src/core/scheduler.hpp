@@ -39,13 +39,14 @@ struct ScheduleResult {
   std::size_t evaluations = 0;
   std::size_t cache_hits = 0;     ///< queries answered from an evaluation memo
   /// DES candidate replays of an SLO-aware warm decision (OmniBoost's
-  /// reschedule with slo_s + board in the context): des_replays counts
-  /// simulate_traced calls actually executed, replay_hits counts candidates
-  /// answered from the replay memo instead — analogous to the
-  /// evaluations/cache_hits split, so des_replays + replay_hits is the
-  /// number of distinct candidates the SLO shaping scored. Both stay zero
-  /// for SLO-free decisions and for schedulers without SLO shaping.
+  /// reschedule with slo_s + board in the context): one simulate_traced
+  /// call per distinct candidate the SLO shaping scored, so it equals
+  /// evaluations there. Zero for SLO-free decisions and for schedulers
+  /// without SLO shaping.
   std::size_t des_replays = 0;
+  /// Always 0: replays are not memoized. Kept only because the committed
+  /// end-to-end benchmark (bench/e2e) still reads it for its replay
+  /// hit-ratio metric.
   std::size_t replay_hits = 0;
   /// Board time a measurement-driven scheduler would burn on the device for
   /// this decision (GA fitness runs). Zero for model-driven schedulers.

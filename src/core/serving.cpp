@@ -208,7 +208,6 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
   report_.total_evaluations += ep.decision.evaluations;
   report_.total_cache_hits += ep.decision.cache_hits;
   report_.total_des_replays += ep.decision.des_replays;
-  report_.total_replay_hits += ep.decision.replay_hits;
   throughput_sum_ += ep.measured_throughput;
   last_throughput_ = ep.measured_throughput;
 

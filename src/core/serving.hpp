@@ -96,11 +96,9 @@ struct ServingReport {
   double mean_churn = 0.0;            ///< over epochs with surviving layers
   std::size_t total_evaluations = 0;
   std::size_t total_cache_hits = 0;
-  /// DES candidate replays across all SLO-aware warm decisions: executed
-  /// replays vs. replay-memo hits (the ScheduleResult::des_replays /
-  /// replay_hits split summed over epochs). Both zero without SLOs.
+  /// DES candidate replays across all SLO-aware warm decisions
+  /// (ScheduleResult::des_replays summed over epochs). Zero without SLOs.
   std::size_t total_des_replays = 0;
-  std::size_t total_replay_hits = 0;
   /// SLO bookkeeping, in stream-epochs: a stream serving under an SLO for
   /// three epochs contributes three to total_slo_streams (and up to three
   /// violations). 0/0 when the scenario carries no SLOs.

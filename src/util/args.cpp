@@ -1,5 +1,6 @@
 #include "util/args.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -108,6 +109,8 @@ double ArgParser::get_double(const std::string& name) const {
     std::size_t pos = 0;
     const double out = std::stod(v, &pos);
     if (pos != v.size()) throw std::invalid_argument("trailing");
+    // No flag takes nan or inf: nan slips past every range check.
+    if (!std::isfinite(out)) throw std::invalid_argument("non-finite");
     return out;
   } catch (const std::exception&) {
     throw std::invalid_argument("option --" + name +

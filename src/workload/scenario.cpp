@@ -174,6 +174,8 @@ Scenario random_scenario(util::Rng& rng, const ScenarioConfig& config) {
              "widen the band");
   OB_REQUIRE(config.slo_fraction >= 0.0 && config.slo_fraction <= 1.0,
              "random_scenario: slo_fraction must be a probability");
+  OB_REQUIRE(config.depart_bias >= 0.0 && config.depart_bias <= 1.0,
+             "random_scenario: depart_bias must be a probability");
   OB_REQUIRE(config.slo_fraction == 0.0 ||
                  (config.slo_min_ms > 0.0 &&
                   config.slo_min_ms <= config.slo_max_ms &&

@@ -244,6 +244,10 @@ TEST(ScenarioGenerator, SloBandAttachesSlosToArrivalsOnly) {
   bad.slo_max_ms = 50.0;
   util::Rng rng2(11);
   EXPECT_THROW(workload::random_scenario(rng2, bad), std::invalid_argument);
+  // depart_bias is a probability too.
+  bad = cfg;
+  bad.depart_bias = 2.0;
+  EXPECT_THROW(workload::random_scenario(rng2, bad), std::invalid_argument);
 }
 
 TEST(ScenarioReplay, SloAfterTracksStreamsAndResetsOnReArrival) {

@@ -615,6 +615,11 @@ TEST(OmniBoostReschedule, LooseSloLeavesTheDecisionBitIdentical) {
   EXPECT_EQ(no_slo.expected_reward, with_slo.expected_reward);
   EXPECT_EQ(no_slo.evaluations + no_slo.cache_hits,
             with_slo.evaluations + with_slo.cache_hits);
+  // The SLO-free path never replays; the SLO-aware one replays every
+  // distinct candidate it scores exactly once.
+  EXPECT_EQ(no_slo.des_replays, 0u);
+  EXPECT_GT(with_slo.des_replays, 0u);
+  EXPECT_EQ(with_slo.des_replays, with_slo.evaluations);
   // SLO-aware decisions bypass the carried memos entirely.
   EXPECT_GT(plain.carried_memo_footprint(), 0u);
   EXPECT_EQ(sloed.carried_memo_footprint(), 0u);

@@ -157,6 +157,12 @@ TEST(ArgParser, TypedAccessorsValidate) {
   ASSERT_TRUE(parse(p, {"--mix", "abc", "--budget", "12x"}));
   EXPECT_THROW(p.get_int("budget"), std::invalid_argument);
   EXPECT_THROW(p.get_double("budget"), std::invalid_argument);
+  // Non-finite numbers parse, but no flag accepts them.
+  for (const char* v : {"nan", "inf", "-inf"}) {
+    ArgParser q = make_parser();
+    ASSERT_TRUE(parse(q, {"--budget", v}));
+    EXPECT_THROW(q.get_double("budget"), std::invalid_argument) << v;
+  }
 }
 
 TEST(ArgParser, HelpShortCircuits) {

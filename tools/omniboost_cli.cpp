@@ -492,10 +492,9 @@ void print_board_report(const core::ServingReport& report,
               report.mean_incremental_decision_seconds,
               100.0 * report.mean_churn, report.total_evaluations,
               report.total_cache_hits);
-  if (report.total_des_replays + report.total_replay_hits > 0)
-    std::printf("SLO replays: %zu DES replays executed, %zu served from the "
-                "replay memo\n",
-                report.total_des_replays, report.total_replay_hits);
+  if (report.total_des_replays > 0)
+    std::printf("SLO replays: %zu DES replays executed\n",
+                report.total_des_replays);
   if (report.total_slo_streams > 0)
     std::printf("SLO: %zu violations over %zu stream-epochs under an SLO\n",
                 report.total_slo_violations, report.total_slo_streams);
