@@ -139,7 +139,22 @@ util::Json epoch_json(const EpochReport& ep) {
   return j;
 }
 
-/// One board's report as JSON: its name, the epoch list and every aggregate.
+/// The ServingTotals keyed by their field names: the one writer of the
+/// per-board and the fleet objects' totals, so their keys cannot drift.
+void set_totals(util::Json& j, const ServingTotals& t) {
+  using util::Json;
+  j.set("decisions", Json::number(t.decisions));
+  j.set("total_decision_seconds", Json::number(t.total_decision_seconds));
+  j.set("total_evaluations", Json::number(t.total_evaluations));
+  j.set("total_cache_hits", Json::number(t.total_cache_hits));
+  j.set("total_des_replays", Json::number(t.total_des_replays));
+  j.set("total_slo_streams", Json::number(t.total_slo_streams));
+  j.set("total_slo_violations", Json::number(t.total_slo_violations));
+  j.set("total_migrated_segments", Json::number(t.total_migrated_segments));
+  j.set("total_migration_stall_s", Json::number(t.total_migration_stall_s));
+}
+
+/// One board's report as JSON: its name, the epoch list, means and totals.
 util::Json board_json(const std::string& name, const ServingReport& r) {
   using util::Json;
   Json epochs = Json::array();
@@ -149,18 +164,10 @@ util::Json board_json(const std::string& name, const ServingReport& r) {
   j.set("board", Json::string(name));
   j.set("epochs", std::move(epochs));
   num("epoch_count", r.epoch_count);
-  num("decisions", r.decisions);
   num("mean_throughput_inf_s", r.mean_throughput);
   num("mean_incremental_decision_seconds", r.mean_incremental_decision_seconds);
-  num("total_decision_seconds", r.total_decision_seconds);
   num("mean_churn", r.mean_churn);
-  num("total_evaluations", r.total_evaluations);
-  num("total_cache_hits", r.total_cache_hits);
-  num("total_des_replays", r.total_des_replays);
-  num("slo_streams", r.total_slo_streams);
-  num("slo_violations", r.total_slo_violations);
-  num("total_migrated_segments", r.total_migrated_segments);
-  num("total_migration_stall_s", r.total_migration_stall_s);
+  set_totals(j, r);
   return j;
 }
 
@@ -234,11 +241,13 @@ ClusterReport Cluster::run(const SchedulerFactory& make_scheduler,
              "Cluster::run: scenario fault events target a board outside "
              "the fleet");
   ClusterSession session(*this, make_scheduler, policy);
+  // finish() summarises each board; a batch replay also returns its epochs.
+  std::vector<std::vector<EpochReport>> epochs(boards_.size());
+  session.epoch_log_ = &epochs;
   for (const workload::ScenarioEvent& e : scenario.events()) session.apply(e);
   ClusterReport report = session.finish();
-  // finish() summarises each board; a batch replay also returns its epochs.
   for (std::size_t i = 0; i < report.boards.size(); ++i)
-    report.boards[i] = session.session(i).finish();
+    report.boards[i].epochs = std::move(epochs[i]);
   return report;
 }
 
@@ -348,16 +357,17 @@ double ClusterSession::cross_board_stall(
          cluster_->config_.serving.migration.per_segment_overhead_s;
 }
 
-// All board epochs flow through here so degraded-epoch exposure (non-idle
-// epochs served at reduced speed) is counted uniformly; at full health the
-// extra comparison changes nothing.
+const EpochReport& ClusterSession::serve(std::size_t board,
+                                         const EpochReport& ep) {
+  if (ep.mix_size > 0 && throttle_[board] < 1.0) ++report_.degraded_epochs;
+  if (epoch_log_ != nullptr) (*epoch_log_)[board].push_back(ep);
+  return ep;
+}
+
 const EpochReport& ClusterSession::serve(std::size_t board,
                                          const workload::ScenarioEvent& ev,
                                          double stall_s) {
-  const EpochReport& ep =
-      sessions_[board].apply(*schedulers_[board], ev, stall_s);
-  if (ep.mix_size > 0 && throttle_[board] < 1.0) ++report_.degraded_epochs;
-  return ep;
+  return serve(board, sessions_[board].apply(*schedulers_[board], ev, stall_s));
 }
 
 // Residency floor of one stream — the failover/rebalance ordering key
@@ -460,10 +470,9 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
         char label[64];
         std::snprintf(label, sizeof(label), "throttle x%g (refresh)",
                       e.factor);
-        const EpochReport& ep =
-            sessions_[b].refresh(*schedulers_[b], e.time_s, label);
-        outcome.measured_throughput = ep.measured_throughput;
-        ++report_.degraded_epochs;
+        outcome.measured_throughput =
+            serve(b, sessions_[b].refresh(*schedulers_[b], e.time_s, label))
+                .measured_throughput;
       }
     } else {  // kRecoverBoard
       ++report_.board_recoveries;
@@ -475,10 +484,10 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
       throttle_[b] = 1.0;
       cluster_->sims_[b]->set_throttle(1.0);
       if (was_throttled && !sessions_[b].idle()) {
-        const EpochReport& ep =
-            sessions_[b].refresh(*schedulers_[b], e.time_s,
-                                 "recover (refresh)");
-        outcome.measured_throughput = ep.measured_throughput;
+        outcome.measured_throughput =
+            serve(b, sessions_[b].refresh(*schedulers_[b], e.time_s,
+                                          "recover (refresh)"))
+                .measured_throughput;
       }
       if (cluster_->config_.rebalance_on_recovery) {
         // Greedily pull streams back while some donor board holds at
@@ -636,8 +645,7 @@ bool ClusterSession::install_mapping(std::size_t board,
   for (std::size_t d = 0; d < counts.size(); ++d)
     if (mapping.assignment(d).size() != counts[d]) return false;
   FixedMappingScheduler fixed(mapping);
-  const EpochReport& ep = sessions_[board].refresh(fixed, time_s, label);
-  if (ep.mix_size > 0 && throttle_[board] < 1.0) ++report_.degraded_epochs;
+  serve(board, sessions_[board].refresh(fixed, time_s, label));
   last_time_s_ = time_s;
   return true;
 }
@@ -656,19 +664,10 @@ ClusterReport ClusterSession::finish() const {
     if (!up_[i]) report.downtime_board_s += last_time_s_ - down_since_[i];
     report.resident_streams += sessions_[i].present().size();
   }
-  for (const ServingSession& s : sessions_)
+  for (const ServingSession& s : sessions_) {
     report.boards.push_back(s.summary());
-  for (const ServingReport& b : report.boards) {
-    report.decisions += b.decisions;
-    report.total_decision_seconds += b.total_decision_seconds;
-    report.fleet_throughput += b.mean_throughput;
-    report.total_slo_streams += b.total_slo_streams;
-    report.total_slo_violations += b.total_slo_violations;
-    report.total_evaluations += b.total_evaluations;
-    report.total_cache_hits += b.total_cache_hits;
-    report.total_des_replays += b.total_des_replays;
-    report.total_migrated_segments += b.total_migrated_segments;
-    report.total_migration_stall_s += b.total_migration_stall_s;
+    report += report.boards.back();
+    report.fleet_throughput += report.boards.back().mean_throughput;
   }
   if (report.offered_streams > 0)
     report.rejection_rate = static_cast<double>(report.rejected_streams) /
@@ -789,15 +788,7 @@ util::Json to_json(const ClusterReport& report) {
   num("degraded_epochs", report.degraded_epochs);
   num("resident_streams", report.resident_streams);
   num("fleet_throughput_inf_s", report.fleet_throughput);
-  num("decisions", report.decisions);
-  num("total_decision_seconds", report.total_decision_seconds);
-  num("total_evaluations", report.total_evaluations);
-  num("total_cache_hits", report.total_cache_hits);
-  num("total_slo_streams", report.total_slo_streams);
-  num("total_slo_violations", report.total_slo_violations);
-  num("total_des_replays", report.total_des_replays);
-  num("total_migrated_segments", report.total_migrated_segments);
-  num("total_migration_stall_s", report.total_migration_stall_s);
+  set_totals(j, report);
   num("background_searches", report.background_searches);
   num("background_improvements", report.background_improvements);
   return j;

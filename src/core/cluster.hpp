@@ -130,8 +130,9 @@ struct ClusterConfig {
   bool rebalance_on_recovery = false;
 };
 
-/// Per-board reports plus the fleet-level aggregates the benches compare.
-struct ClusterReport {
+/// Per-board reports plus the fleet-level aggregates the benches compare;
+/// the inherited ServingTotals fold the boards' (equality is pinned).
+struct ClusterReport : ServingTotals {
   std::vector<std::string> board_names;
   std::vector<ServingReport> boards;  ///< index-aligned with board_names
 
@@ -186,18 +187,8 @@ struct ClusterReport {
   std::size_t background_searches = 0;
   std::size_t background_improvements = 0;
 
-  /// Sums over the per-board reports (equality with the sum is pinned).
-  std::size_t decisions = 0;
-  double total_decision_seconds = 0.0;
   /// Served capacity proxy: sum of per-board mean DES throughput.
   double fleet_throughput = 0.0;
-  std::size_t total_slo_streams = 0;
-  std::size_t total_slo_violations = 0;
-  std::size_t total_evaluations = 0;
-  std::size_t total_cache_hits = 0;
-  std::size_t total_des_replays = 0;
-  std::size_t total_migrated_segments = 0;
-  double total_migration_stall_s = 0.0;
 };
 
 /// Builds one scheduler per board at the start of a run (boards keep
@@ -237,14 +228,7 @@ class Cluster {
                     const workload::Scenario& scenario,
                     IPlacementPolicy& policy) const;
 
-  std::size_t size() const { return boards_.size(); }
   const std::vector<BoardSpec>& boards() const { return boards_; }
-  const ClusterConfig& config() const { return config_; }
-  /// The board simulators (index-aligned with boards(); exposed so drivers
-  /// can reuse them for per-board embeddings/estimators).
-  const sim::DesSimulator& board_sim(std::size_t index) const {
-    return *sims_[index];
-  }
 
  private:
   friend class ClusterSession;
@@ -260,8 +244,9 @@ class Cluster {
 /// loop state the batch replay keeps between events (per-board schedulers
 /// and sessions, board health, stream locations, the accumulating fleet
 /// report), so `construct; apply() every event; finish()` IS Cluster::run,
-/// bit-identical by construction (finish() leaves out the per-epoch lists,
-/// which Cluster::run attaches from each board's ServingSession::finish()).
+/// bit-identical by construction. It stores no epochs either: only
+/// Cluster::run collects them, through a private log fed by serve(), the
+/// choke point every board epoch passes.
 ///
 /// The extra surface beyond the batch loop exists for the live serving
 /// daemon (tools/daemon.cpp):
@@ -351,10 +336,16 @@ class ClusterSession {
   void note_background_search(bool installed);
 
  private:
+  friend class Cluster;  // sets epoch_log_ for a batch replay
+
   std::vector<BoardView> make_views() const;
   bool admits(std::size_t board, const models::NetworkDesc& net,
               double slo_s) const;
   double cross_board_stall(const models::NetworkDesc& net) const;
+  /// The choke point every board epoch passes (arrivals, departures, rescues,
+  /// failovers, rebalances, refreshes, installs): counts degraded epochs
+  /// (non-idle, at reduced speed) and feeds epoch_log_.
+  const EpochReport& serve(std::size_t board, const EpochReport& ep);
   const EpochReport& serve(std::size_t board,
                            const workload::ScenarioEvent& ev,
                            double stall_s = 0.0);
@@ -380,6 +371,8 @@ class ClusterSession {
   std::vector<bool> shed_;
 
   ClusterReport report_;  ///< fleet-level accumulators; finish() finalizes
+  /// Per-board epoch lists, set only by Cluster::run; null otherwise.
+  std::vector<std::vector<EpochReport>>* epoch_log_ = nullptr;
   double last_time_s_ = 0.0;
   std::uint64_t version_ = 0;
 };
@@ -396,9 +389,10 @@ class ClusterSession {
 std::string format_cluster_report(const ClusterReport& report);
 
 /// The same report as JSON (`omniboost_cli serve --json`): `boards` (the
-/// count), a `fleet` array with one object per board — its name, every
-/// ServingReport aggregate, `epoch_count`, and the full `epochs` list (empty
-/// for session snapshots) — followed by every fleet-level total.
+/// count), a `fleet` array with one object per board — its name, the
+/// `epochs` list (empty for session snapshots), `epoch_count`, the means and
+/// the ServingTotals — then every fleet-level count and the fleet's
+/// ServingTotals, keyed by their field names at both levels.
 util::Json to_json(const ClusterReport& report);
 
 /// A heterogeneous fleet scaled from one \p base profile: cycles the stock

@@ -34,6 +34,19 @@ double mapping_churn(const sim::Mapping& previous,
                        : 0.0;
 }
 
+ServingTotals& ServingTotals::operator+=(const ServingTotals& other) {
+  decisions += other.decisions;
+  total_decision_seconds += other.total_decision_seconds;
+  total_evaluations += other.total_evaluations;
+  total_cache_hits += other.total_cache_hits;
+  total_des_replays += other.total_des_replays;
+  total_slo_streams += other.total_slo_streams;
+  total_slo_violations += other.total_slo_violations;
+  total_migrated_segments += other.total_migrated_segments;
+  total_migration_stall_s += other.total_migration_stall_s;
+  return *this;
+}
+
 ServingSession::ServingSession(const models::ModelZoo& zoo,
                                const sim::DesSimulator& board,
                                ServingConfig config)
@@ -86,8 +99,9 @@ const EpochReport& ServingSession::apply(IScheduler& scheduler,
     ep.mix = "(idle)";
     have_prev_ = false;
     last_throughput_ = 0.0;
-    epochs_.push_back(std::move(ep));
-    return epochs_.back();
+    ++report_.epoch_count;
+    last_ = std::move(ep);
+    return last_;
   }
 
   return serve_epoch(scheduler, std::move(ep), arrival_stall_s);
@@ -214,19 +228,13 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
   prev_w_ = w;
   prev_mapping_ = ep.decision.mapping;
   have_prev_ = true;
-  epochs_.push_back(std::move(ep));
-  return epochs_.back();
-}
-
-ServingReport ServingSession::finish() const {
-  ServingReport report = summary();
-  report.epochs = epochs_;
-  return report;
+  ++report_.epoch_count;
+  last_ = std::move(ep);
+  return last_;
 }
 
 ServingReport ServingSession::summary() const {
   ServingReport report = report_;
-  report.epoch_count = epochs_.size();
   if (report.decisions > 0)
     report.mean_throughput =
         throughput_sum_ / static_cast<double>(report.decisions);
@@ -241,19 +249,19 @@ ServingReport ServingSession::summary() const {
 ServingRuntime::ServingRuntime(const models::ModelZoo& zoo,
                                const sim::DesSimulator& board,
                                ServingConfig config)
-    : zoo_(&zoo),
-      board_(&board),
-      config_(config),
-      migration_(board.device(), config.migration) {}
+    : zoo_(&zoo), board_(&board), config_(config) {}
 
 ServingReport ServingRuntime::run(IScheduler& scheduler,
                                   const workload::Scenario& scenario) const {
   OB_REQUIRE(!scenario.empty(), "ServingRuntime::run: empty scenario");
 
   ServingSession session(*zoo_, *board_, config_);
+  std::vector<EpochReport> epochs;
   for (const workload::ScenarioEvent& e : scenario.events())
-    session.apply(scheduler, e);
-  return session.finish();
+    epochs.push_back(session.apply(scheduler, e));
+  ServingReport report = session.summary();
+  report.epochs = std::move(epochs);
+  return report;
 }
 
 }  // namespace omniboost::core

@@ -14,8 +14,10 @@
 ///  - ServingSession — the same loop opened up event-by-event, so a driver
 ///    that interleaves several boards (core::Cluster) can feed each board
 ///    its own event stream through the *identical* code path. A run() call
-///    is exactly "construct a session, apply every event, finish()", so the
-///    two are bit-identical by construction (pinned by tests/cluster_test).
+///    is exactly "construct a session, apply every event, collect the
+///    returned epochs, summary()", so the two are bit-identical by
+///    construction (pinned by tests/cluster_test). A session keeps running
+///    sums, never an epoch history, so a live one holds bounded memory.
 
 #include <cstddef>
 #include <string>
@@ -80,20 +82,12 @@ struct EpochReport {
   double migration_stall_s = 0.0;  ///< summed over streams
 };
 
-/// The whole serving session, plus the aggregates the benches compare.
-struct ServingReport {
-  /// Every served epoch, in order. Left empty by ServingSession::summary()
-  /// (and so by ClusterSession::finish()), which keep only epoch_count.
-  std::vector<EpochReport> epochs;
-  std::size_t epoch_count = 0;  ///< epochs served, idle ones included
-
-  std::size_t decisions = 0;          ///< epochs that scheduled (non-idle)
+/// The counters every serving report sums, declared once: ServingReport
+/// accumulates them per epoch, ClusterReport folds its boards' with +=, and
+/// the JSON reports key each by its field name.
+struct ServingTotals {
+  std::size_t decisions = 0;  ///< epochs that scheduled (non-idle)
   double total_decision_seconds = 0.0;
-  /// Mean decision latency over epochs 2..N (the incremental decisions a
-  /// warm-started scheduler accelerates; the first decision is always cold).
-  double mean_incremental_decision_seconds = 0.0;
-  double mean_throughput = 0.0;       ///< over non-idle epochs
-  double mean_churn = 0.0;            ///< over epochs with surviving layers
   std::size_t total_evaluations = 0;
   std::size_t total_cache_hits = 0;
   /// DES candidate replays across all SLO-aware warm decisions
@@ -108,6 +102,22 @@ struct ServingReport {
   /// the churn-cost model disabled).
   std::size_t total_migrated_segments = 0;
   double total_migration_stall_s = 0.0;
+
+  ServingTotals& operator+=(const ServingTotals& other);
+};
+
+/// The whole serving session, plus the aggregates the benches compare.
+struct ServingReport : ServingTotals {
+  /// Every served epoch, in order, as ServingRuntime::run and Cluster::run
+  /// collect them; empty in a session's summary(), which stores none.
+  std::vector<EpochReport> epochs;
+  std::size_t epoch_count = 0;  ///< epochs served, idle ones included
+
+  /// Mean decision latency over epochs 2..N (the incremental decisions a
+  /// warm-started scheduler accelerates; the first decision is always cold).
+  double mean_incremental_decision_seconds = 0.0;
+  double mean_throughput = 0.0;       ///< over non-idle epochs
+  double mean_churn = 0.0;            ///< over epochs with surviving layers
 };
 
 /// Layer-level stability of a mix change: compares, for every surviving
@@ -124,10 +134,11 @@ double mapping_churn(const sim::Mapping& previous,
 ///
 /// Holds exactly the state ServingRuntime::run keeps between events (the
 /// present mix with SLOs, the previous workload/mapping, the running
-/// aggregate sums) and applies one ScenarioEvent per call. Events must be
-/// legal for the session's current state (arrive only while absent, depart
-/// only while present, non-decreasing times) — a Scenario guarantees this
-/// for its own stream; a Cluster guarantees it per board by construction.
+/// aggregate sums, the last served epoch — no epoch history) and applies
+/// one ScenarioEvent per call. Events must be legal for the session's
+/// current state (arrive only while absent, depart only while present,
+/// non-decreasing times) — a Scenario guarantees this for its own stream; a
+/// Cluster guarantees it per board by construction.
 class ServingSession {
  public:
   /// \param zoo    dataset networks backing every mix
@@ -140,7 +151,7 @@ class ServingSession {
   /// mix, asks \p scheduler for a mapping (schedule() on the first or
   /// post-idle decision, reschedule() with a full ScheduleContext
   /// otherwise), measures it on the board, and returns the epoch's report
-  /// (valid until the next apply()).
+  /// (valid until the next apply() or refresh()).
   ///
   /// \param arrival_stall_s one-off extra DES start delay charged to the
   ///   arriving stream of an arrive event (cross-board weight transfer when
@@ -170,11 +181,8 @@ class ServingSession {
   void evict_all();
 
   /// Finalizes the aggregate means and returns the report for everything
-  /// applied so far. The session stays usable (finish() is a snapshot).
-  ServingReport finish() const;
-
-  /// finish() without the per-epoch list: the aggregates and epoch_count,
-  /// at a cost that does not grow with the number of epochs served.
+  /// applied so far: the totals, means and epoch_count, with an empty epoch
+  /// list. A snapshot; the session stays usable.
   ServingReport summary() const;
 
   /// The streams currently on the board (arrival order), with their SLOs
@@ -182,7 +190,6 @@ class ServingSession {
   const std::vector<models::ModelId>& present() const { return present_; }
   const std::vector<double>& present_slo_s() const { return present_slo_s_; }
   bool idle() const { return present_.empty(); }
-  std::size_t epochs_applied() const { return epochs_.size(); }
   /// DES throughput measured by the most recent non-idle epoch (0 before
   /// the first decision or right after an idle epoch) — placement policies
   /// read this as the board's live load signal.
@@ -193,9 +200,6 @@ class ServingSession {
   /// seeds its refinement from exactly this mapping.
   const sim::Mapping& previous_mapping() const { return prev_mapping_; }
   bool has_previous() const { return have_prev_; }
-  const sim::DesSimulator& board() const { return *board_; }
-  const ServingConfig& config() const { return config_; }
-  const sim::MigrationCostModel& migration_model() const { return migration_; }
 
  private:
   /// Shared epoch engine: decides (schedule or reschedule), measures, and
@@ -218,7 +222,7 @@ class ServingSession {
   sim::Mapping prev_mapping_;
   bool have_prev_ = false;
 
-  // Running aggregates finish() turns into means.
+  // Running aggregates summary() turns into means.
   std::size_t incremental_ = 0;
   double incremental_seconds_ = 0.0;
   double throughput_sum_ = 0.0;
@@ -226,8 +230,8 @@ class ServingSession {
   double churn_sum_ = 0.0;
   double last_throughput_ = 0.0;
 
-  std::vector<EpochReport> epochs_;
-  ServingReport report_;  ///< running sums; its epochs list stays empty
+  EpochReport last_;  ///< the epoch apply()/refresh() returned last
+  ServingReport report_;  ///< running totals and epoch_count; no epochs
 };
 
 /// Event loop that serves a Scenario with one scheduler.
@@ -249,16 +253,10 @@ class ServingRuntime {
   ServingReport run(IScheduler& scheduler,
                     const workload::Scenario& scenario) const;
 
-  const ServingConfig& config() const { return config_; }
-  /// The churn-cost model built from ServingConfig::migration (exposed for
-  /// tests and drivers that want to pre-assess a transition).
-  const sim::MigrationCostModel& migration_model() const { return migration_; }
-
  private:
   const models::ModelZoo* zoo_;
   const sim::DesSimulator* board_;
   ServingConfig config_;
-  sim::MigrationCostModel migration_;
 };
 
 }  // namespace omniboost::core

@@ -5,15 +5,19 @@
 //  * stream conservation: every arrival lands on exactly one board or is
 //    counted rejected; departures always resolve; per-board epoch counts
 //    reconcile with the fleet counters including migrations
-//  * fleet totals equal the sum of the per-board reports
+//  * fleet totals equal the sum of the per-board reports, in the structs
+//    and in to_json, where board and fleet objects share the totals keys
 //  * repeated runs produce byte-identical ClusterReports for every policy
 //  * admission rejects memory- and SLO-infeasible streams; rescue migration
 //    moves a saturating arrival and prices the cross-board transfer
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -377,6 +381,105 @@ TEST(ClusterInvariants, SessionSnapshotIsTheBatchReportWithoutEpochLists) {
   snapshot.total_decision_seconds = full.total_decision_seconds;
   EXPECT_EQ(core::format_cluster_report(snapshot),
             core::format_cluster_report(full));
+}
+
+/// Just enough of a JSON reader for to_json's output (util::Json ships no
+/// parser): objects become key -> value maps, numbers doubles.
+struct JsonValue {
+  double number = 0.0;
+  std::vector<JsonValue> items;
+  std::map<std::string, JsonValue> fields;
+};
+
+JsonValue read_json(const char*& p) {
+  JsonValue v;
+  const auto skip = [&p] {
+    while (*p == ' ' || *p == '\n' || *p == ',' || *p == ':') ++p;
+  };
+  const auto read_string = [&p] {
+    std::string out;
+    for (++p; *p != '"'; ++p) out += (*p == '\\') ? *++p : *p;
+    ++p;
+    return out;
+  };
+  skip();
+  if (*p == '{') {
+    for (++p, skip(); *p != '}'; skip()) {
+      const std::string key = read_string();
+      skip();
+      v.fields[key] = read_json(p);
+    }
+    ++p;
+  } else if (*p == '[') {
+    for (++p, skip(); *p != ']'; skip()) v.items.push_back(read_json(p));
+    ++p;
+  } else if (*p == '"') {
+    read_string();
+  } else if (*p == 't' || *p == 'f' || *p == 'n') {
+    while (*p >= 'a' && *p <= 'z') ++p;
+  } else {
+    char* end = nullptr;
+    v.number = std::strtod(p, &end);
+    p = end;
+  }
+  return v;
+}
+
+TEST(ClusterJson, BoardsAndFleetShareTheTotalsKeysAndTheFleetIsTheirSum) {
+  workload::ArrivalProcess p;
+  p.rate_per_s = 0.5;
+  p.mean_lifetime_s = 8.0;
+  p.max_concurrent = 5;
+  p.slo_fraction = 0.5;
+  util::Rng rng(util::fork_stream(23, 0));
+  workload::FaultProcess faults;
+  faults.mtbf_s = 8.0;
+  faults.mttr_s = 3.0;
+  faults.throttle_fraction = 0.5;
+  const Scenario s = workload::with_faults(
+      workload::sample_scenario(p, 30.0, rng), faults, 3, 23);
+  ClusterConfig cc;
+  cc.serving.migration.enabled = true;
+  const Cluster cluster(zoo(), core::make_heterogeneous_fleet(3), cc);
+  const auto policy = core::make_placement_policy("best-t");
+  const ClusterReport rep = cluster.run(greedy_factory(cluster), s, *policy);
+  ASSERT_GT(rep.total_slo_streams, 0u);
+
+  const std::string text = core::to_json(rep).dump(2);
+  const char* cursor = text.c_str();
+  const JsonValue j = read_json(cursor);
+  const std::vector<std::string> totals = {
+      "decisions",           "total_decision_seconds",
+      "total_evaluations",   "total_cache_hits",
+      "total_des_replays",   "total_slo_streams",
+      "total_slo_violations", "total_migrated_segments",
+      "total_migration_stall_s"};
+  const std::vector<std::string> board_only = {
+      "board", "epochs", "epoch_count", "mean_throughput_inf_s",
+      "mean_incremental_decision_seconds", "mean_churn"};
+  const std::vector<JsonValue>& fleet = j.fields.at("fleet").items;
+  ASSERT_EQ(fleet.size(), rep.boards.size());
+
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    // Exactly the board-only keys plus the fleet's totals keys.
+    std::vector<std::string> expected = board_only;
+    expected.insert(expected.end(), totals.begin(), totals.end());
+    std::sort(expected.begin(), expected.end());
+    std::vector<std::string> keys;
+    for (const auto& kv : fleet[i].fields) keys.push_back(kv.first);
+    EXPECT_EQ(keys, expected) << "board " << i;
+    // A batch report carries every epoch it counts.
+    EXPECT_EQ(static_cast<double>(fleet[i].fields.at("epochs").items.size()),
+              fleet[i].fields.at("epoch_count").number)
+        << "board " << i;
+  }
+  for (const std::string& key : totals) {
+    double sum = 0.0;
+    for (const JsonValue& b : fleet) sum += b.fields.at(key).number;
+    ASSERT_EQ(j.fields.count(key), 1u) << key;
+    EXPECT_DOUBLE_EQ(j.fields.at(key).number, sum) << key;
+  }
+  EXPECT_GT(j.fields.at("total_migrated_segments").number, 0.0);
 }
 
 TEST(ClusterInvariants, RepeatedRunsAreByteIdenticalForEveryPolicy) {
@@ -759,6 +862,30 @@ TEST(ClusterFaults, ThrottleDegradesThroughputUntilRecovery) {
   EXPECT_EQ(rep.resident_streams, 1u);
   EXPECT_EQ(rep.admitted_streams,
             rep.departures + rep.shed_streams + rep.resident_streams);
+}
+
+TEST(ClusterFaults, ThrottleToFullSpeedIsNotADegradedEpoch) {
+  // `throttle board 0 1` refreshes the resident mix, but the board runs at
+  // full speed — the rule `recover` already applies to a x1 board — so no
+  // epoch counts as degraded. A real throttle counts its refresh and every
+  // later epoch it serves.
+  const Cluster cluster(zoo(), core::make_heterogeneous_fleet(1),
+                        ClusterConfig{});
+  const auto degraded = [&cluster](const char* factor) {
+    const Scenario s = workload::parse_scenario(
+        std::string("at 0 arrive AlexNet\n"
+                    "at 2 throttle board 0 ") +
+        factor +
+        "\n"
+        "at 3 arrive MobileNet\n");
+    const auto policy = core::make_placement_policy("least-loaded");
+    const ClusterReport rep = cluster.run(greedy_factory(cluster), s, *policy);
+    EXPECT_EQ(rep.board_throttles, 1u);
+    EXPECT_EQ(rep.boards[0].epoch_count, 3u);
+    return rep.degraded_epochs;
+  };
+  EXPECT_EQ(degraded("1"), 0u);
+  EXPECT_EQ(degraded("0.5"), 2u);
 }
 
 TEST(ClusterFaults, RecoveryRebalancePullsAStreamBackWhenEnabled) {

@@ -124,22 +124,28 @@ if [ -x "$build_dir/omniboost_cli" ]; then
   echo "daemon smoke: $live"
 
   # Serve JSON smoke: one report schema at every board count. Each report
-  # must parse and conserve streams, and each board's epoch list must hold
-  # exactly epoch_count entries.
+  # must parse and conserve streams, each board's epoch list must hold
+  # exactly epoch_count entries, and each board must carry the fleet's
+  # totals keys (`decisions`, `total_*`), which the fleet sums.
   if command -v python3 > /dev/null 2>&1; then
     echo "== serve JSON smoke =="
     for boards in 1 2; do
       "$build_dir/omniboost_cli" serve --events 8 --scheduler greedy --json \
         --boards "$boards" > "$smoke_out/serve-$boards.json"
       python3 - "$smoke_out/serve-$boards.json" <<'PYEOF'
-import json, sys
+import json, math, sys
 r = json.load(open(sys.argv[1]))
+is_total = lambda k: k == "decisions" or k.startswith("total_")
+totals = [k for k in r if is_total(k)]
 assert r["admitted_streams"] == (r["departures"] + r["shed_streams"] +
                                  r["resident_streams"]), "admitted != served"
 assert r["offered_streams"] == (r["admitted_streams"] +
                                 r["rejected_streams"]), "offered != routed"
 for b in r["fleet"]:
     assert len(b["epochs"]) == b["epoch_count"], b["board"] + ": epoch_count"
+    assert [k for k in b if is_total(k)] == totals, b["board"] + ": totals"
+for k in totals:
+    assert math.isclose(r[k], sum(b[k] for b in r["fleet"])), k + ": fleet sum"
 print(f"serve JSON smoke: {r['boards']} board(s), "
       f"offered={r['offered_streams']} admitted={r['admitted_streams']}")
 PYEOF
