@@ -9,6 +9,7 @@
 ///     has, since it would mean measuring every candidate on the board).
 
 #include "bench_common.hpp"
+#include "sched/search_common.hpp"
 
 using namespace omniboost;
 
@@ -26,13 +27,11 @@ int main() {
 
   auto baseline = sched::AllOnScheduler::gpu_baseline(ctx.zoo());
   sched::MosaicScheduler linear_source(ctx.zoo(), ctx.device());
-  sim::AnalyticModel analytic(ctx.device());
 
   util::Table t({"evaluator", "avg normalized T", "note"});
 
   const auto run = [&](const std::string& name,
-                       const std::function<core::MappingEvaluator(
-                           const workload::Workload&)>& make_eval,
+                       const sched::WorkloadEvaluatorFactory& make_eval,
                        const std::string& note) {
     double norm = 0.0;
     for (const auto& w : mixes) {
@@ -79,21 +78,13 @@ int main() {
       "MOSAIC-style, contention-blind");
 
   run("analytic model",
-      [&](const workload::Workload& w) -> core::MappingEvaluator {
-        const auto nets = w.resolve(ctx.zoo());
-        return [&, nets](const sim::Mapping& m) {
-          return analytic.evaluate(nets, m).avg_throughput;
-        };
-      },
+      sched::analytic_evaluator_factory(
+          ctx.zoo(), std::make_shared<const sim::AnalyticModel>(ctx.device())),
       "contention-aware closed form");
 
   run("DES oracle",
-      [&](const workload::Workload& w) -> core::MappingEvaluator {
-        const auto nets = w.resolve(ctx.zoo());
-        return [&, nets](const sim::Mapping& m) {
-          return ctx.board().simulate(nets, m).avg_throughput;
-        };
-      },
+      sched::oracle_evaluator_factory(
+          ctx.zoo(), std::make_shared<const sim::DesSimulator>(ctx.device())),
       "ground truth (not deployable)");
 
   bench::report("ablation_estimator", t);

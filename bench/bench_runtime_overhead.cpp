@@ -49,6 +49,20 @@ const workload::Workload& mix() {
   return w;
 }
 
+/// A private copy of the trained estimator running on \p kind
+/// (serialization round-trip: bit-exact weights and preprocessing). The
+/// scheduler searches with its estimator's own kernel, so each kernel's
+/// decision rows run on one of these.
+std::shared_ptr<core::ThroughputEstimator> estimator_clone(
+    nn::KernelKind kind) {
+  std::stringstream blob;
+  ctx().estimator()->save(blob);
+  auto clone = std::make_shared<core::ThroughputEstimator>(
+      core::ThroughputEstimator::load(blob));
+  clone->set_kernel(kind);
+  return clone;
+}
+
 #ifdef OMNIBOOST_HAVE_GBENCH
 
 void BM_BaselineDecision(benchmark::State& state) {
@@ -365,19 +379,9 @@ int main(int argc, char** argv) {
 
     // Full CNN forward: one batched reward query per kernel kind.
     {
-      auto est = ctx().estimator();
-      std::stringstream blob;
-      est->save(blob);
-      auto make_clone = [&blob](nn::KernelKind kind) {
-        std::istringstream is(blob.str());
-        auto clone = std::make_unique<core::ThroughputEstimator>(
-            core::ThroughputEstimator::load(is));
-        clone->set_kernel(kind);
-        return clone;
-      };
-      const auto ref_est = make_clone(nn::KernelKind::kReference);
-      const auto gemm_est = make_clone(nn::KernelKind::kGemm);
-      const auto simd_est = make_clone(nn::KernelKind::kSimd);
+      const auto ref_est = estimator_clone(nn::KernelKind::kReference);
+      const auto gemm_est = estimator_clone(nn::KernelKind::kGemm);
+      const auto simd_est = estimator_clone(nn::KernelKind::kSimd);
       const auto counts = mix().layer_counts(ctx().zoo());
       const std::vector<tensor::Tensor> inputs(
           wave,
@@ -426,9 +430,8 @@ int main(int argc, char** argv) {
         core::OmniBoostConfig cfg;
         cfg.mcts.budget = budget;
         cfg.batch_size = 16;
-        cfg.kernel = kind;
         core::OmniBoostScheduler sched(ctx().zoo(), ctx().embedding(),
-                                       ctx().estimator(), cfg);
+                                       estimator_clone(kind), cfg);
         core::ScheduleResult r;
         runs[i] = timed_runs(kernel_repeats,
                              [&] { r = sched.schedule(mix()); });
@@ -468,12 +471,10 @@ int main(int argc, char** argv) {
       core::OmniBoostConfig cfg;
       cfg.mcts.budget = budget;
       cfg.batch_size = 16;
-      cfg.kernel = kind;
       core::OmniBoostScheduler sched(ctx().zoo(), ctx().embedding(),
-                                     ctx().estimator(), cfg);
+                                     estimator_clone(kind), cfg);
       const core::ScheduleResult cold = sched.schedule(mix());
       core::ScheduleContext sctx;
-      sctx.previous_workload = mix();
       sctx.carried_from = {0, 1, 2, 3};
       sim::Mapping prev = cold.mapping;
       std::vector<double> ms;

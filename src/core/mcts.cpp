@@ -62,9 +62,6 @@ Mcts::Mcts(std::vector<std::size_t> layer_counts, BatchMappingEvaluator evaluate
     for (std::size_t l = 0; l < layer_counts_[i]; ++l)
       coords_.push_back(Coord{i, l});
   }
-  OB_REQUIRE(config_.action_mask == nullptr ||
-                 config_.action_mask->size() == coords_.size(),
-             "Mcts: action mask must cover every decision");
 }
 
 void Mcts::set_warm_start(MctsWarmStart warm) {
@@ -98,18 +95,6 @@ void Mcts::valid_actions(const std::vector<ComponentId>& path,
       out[a] = comp == prev || stages < config_.stage_limit;
     }
   }
-  if (config_.action_mask == nullptr) return;
-  // AND in the reduction mask — unless that would strand the decision with
-  // no action at all (the mask is a pruning hint, never a dead end).
-  const std::uint8_t bits = (*config_.action_mask)[depth];
-  bool masked[kNumComponents];
-  bool any = false;
-  for (std::size_t a = 0; a < kNumComponents; ++a) {
-    masked[a] = out[a] && ((bits >> a) & 1u) != 0;
-    any = any || masked[a];
-  }
-  if (!any) return;
-  for (std::size_t a = 0; a < kNumComponents; ++a) out[a] = masked[a];
 }
 
 sim::Mapping Mcts::to_mapping(const std::vector<ComponentId>& path) const {

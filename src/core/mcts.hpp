@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -70,20 +69,6 @@ struct MctsConfig {
   /// returned, so the search trajectory is bit-identical with the cache on
   /// or off — only the evaluations/cache_hits accounting differs.
   bool cache = true;
-  /// Optional per-decision component restriction in the search's flattened
-  /// (dnn-after-dnn, layer-after-layer) order: bit c of entry d allows
-  /// component c for decision d (sched::ReducedSpace::action_mask produces
-  /// one). Null (the default) means unrestricted — that path is
-  /// bit-identical to the pre-mask search, as is an all-ones mask. The mask
-  /// is advisory: if it would leave a decision with no stage-feasible action
-  /// it is ignored for that decision, so the search can always complete.
-  /// Held by shared_ptr so config copies stay cheap and — the reason it is
-  /// not a plain vector — so the defaulted config temporary at every
-  /// `OmniBoostScheduler(...)` call site keeps a trivially-destroyed-enough
-  /// shape for GCC 12, whose inliner raises a -Wmaybe-uninitialized false
-  /// positive on vector members of defaulted by-value aggregates under
-  /// -Werror CI builds.
-  std::shared_ptr<const std::vector<std::uint8_t>> action_mask;
 };
 
 /// The evaluation memo's container type (mapping -> evaluator reward). The

@@ -14,6 +14,10 @@ namespace omniboost::core {
 
 namespace {
 
+/// Reward factor for each stream whose SLO a candidate breaks, under the
+/// default (non-hard-prune) SLO shaping of warm reschedule().
+constexpr double kSloShape = 0.25;
+
 /// Wall-clock helper.
 class StopWatch {
  public:
@@ -41,21 +45,6 @@ OmniBoostScheduler::OmniBoostScheduler(
   OB_REQUIRE(estimator_ != nullptr, "OmniBoostScheduler: null estimator");
   OB_REQUIRE(estimator_->trained(),
              "OmniBoostScheduler: estimator must be trained first");
-}
-
-std::shared_ptr<const ThroughputEstimator>
-OmniBoostScheduler::active_estimator() const {
-  // Kernel selection: the shared estimator is immutable, so a non-matching
-  // kernel request is served by a private clone (serialization round-trip —
-  // bit-exact weights and preprocessing, ~20k parameters, microseconds).
-  if (estimator_->kernel() == config_.kernel) return estimator_;
-  std::stringstream weights;
-  estimator_->save(weights);
-  std::istringstream is(weights.str());
-  auto clone =
-      std::make_shared<ThroughputEstimator>(ThroughputEstimator::load(is));
-  clone->set_kernel(config_.kernel);
-  return clone;
 }
 
 BatchMappingEvaluator OmniBoostScheduler::batch_evaluator(
@@ -89,21 +78,20 @@ ScheduleResult OmniBoostScheduler::schedule(const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "OmniBoostScheduler::schedule: empty workload");
   const StopWatch timer;
   const MctsConfig mcts = make_mcts_config();
-  const std::shared_ptr<const ThroughputEstimator> active = active_estimator();
 
   MctsResult r;
   if (config_.workers <= 1) {
-    Mcts search(w.layer_counts(*zoo_), batch_evaluator(w, active), mcts);
+    Mcts search(w.layer_counts(*zoo_), batch_evaluator(w, estimator_), mcts);
     r = search.search();
   } else {
     // Root-parallel: the CNN forward pass mutates activation caches, so each
     // worker needs a private estimator. Clone through the serialization path
     // (bit-exact weights and preprocessing; ~20k parameters, microseconds),
-    // stamping the configured kernel kind onto every clone.
+    // stamping the shared estimator's kernel kind onto every clone.
     std::stringstream weights;
-    active->save(weights);
+    estimator_->save(weights);
     const std::string blob = weights.str();
-    const nn::KernelKind kernel = config_.kernel;
+    const nn::KernelKind kernel = estimator_->kernel();
     const BatchEvaluatorFactory factory = [this, &w, blob,
                                            kernel]() -> BatchMappingEvaluator {
       std::istringstream is(blob);
@@ -187,10 +175,8 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
   // like slo_nets, never outlives this call).
   std::size_t des_replays = 0;
 
-  BatchMappingEvaluator evaluator = batch_evaluator(w, active_estimator());
+  BatchMappingEvaluator evaluator = batch_evaluator(w, estimator_);
   if (slo_aware) {
-    OB_REQUIRE(config_.slo_shape > 0.0 && config_.slo_shape <= 1.0,
-               "OmniBoostScheduler: slo_shape must be in (0, 1]");
     slo_nets = w.resolve(*zoo_);
 
     // Wrap the estimator evaluator: DES-replay each candidate and shape
@@ -205,7 +191,7 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
     evaluator = [base = std::move(evaluator), board = ctx.board,
                  migration = ctx.migration, &nets = slo_nets,
                  slo = ctx.slo_s, previous, carried = ctx.carried_from,
-                 shape = config_.slo_shape, hard = config_.slo_hard_prune,
+                 hard = config_.slo_hard_prune,
                  &replays = des_replays](
                     const std::vector<sim::Mapping>& mappings) {
       std::vector<double> rewards = base(mappings);
@@ -241,8 +227,9 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
         } else {
           // Symmetric shaping so the demotion works in both reward-sign
           // regimes: shrink positive rewards toward zero, push negative
-          // ones further down (dividing by shape < 1 grows the magnitude).
-          const double factor = std::pow(shape, static_cast<double>(violations));
+          // ones further down (dividing by kSloShape < 1 grows the magnitude).
+          const double factor =
+              std::pow(kSloShape, static_cast<double>(violations));
           rewards[i] = rewards[i] > 0.0 ? rewards[i] * factor
                                         : rewards[i] / factor;
         }

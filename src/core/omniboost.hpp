@@ -40,13 +40,6 @@ struct OmniBoostConfig {
   /// bit-exactly, so this changes only the evaluations/cache_hits split,
   /// never the decision.
   bool cache = true;
-  /// Compute kernel for the estimator's CNN layers (nn/kernel.hpp).
-  /// schedule() runs the search against an estimator with this kernel kind,
-  /// cloning the shared instance on mismatch (the shared estimator is never
-  /// mutated). kReference together with {batch_size = 1, workers = 1}
-  /// reproduces the paper's sequential search bit-for-bit; kGemm is faster
-  /// and deterministic, matching within float rounding (<= 1e-6).
-  nn::KernelKind kernel = nn::default_kernel();
   /// Budget multiplier for warm-started incremental decisions
   /// (reschedule()): an incremental search spends
   /// max(1, round(rollout_fraction * mcts.budget)) rollouts. The surviving
@@ -69,19 +62,17 @@ struct OmniBoostConfig {
   std::size_t carried_memo_entries = 200'000;
   /// SLO reward shaping in warm reschedule(): when the context carries
   /// latency SLOs AND a board model, every candidate mapping is DES-replayed
-  /// (with the context's migration stalls applied, if any) and candidates
+  /// (with the context's migration stalls applied, if any), and candidates
   /// whose replayed p99 frame latency breaks a stream's SLO (shared rule:
-  /// sim::breaks_slo) are demoted by slo_shape once per violating stream —
-  /// positive rewards shrink toward zero, negative ones are pushed further
-  /// down, so the ordering holds in both reward-sign regimes. Violators
-  /// stay comparable (a heavily-violating mapping may beat nothing), just
-  /// dominated by any SLO-clean candidate of similar quality.
-  double slo_shape = 0.25;
-  /// Hard-prune variant of the knob above: violating candidates are demoted
-  /// by a constant reward offset per violating stream — far below any
-  /// SLO-clean candidate whatever the estimator's reward sign — so they can
-  /// never outrank a clean one. The search still returns SOME mapping when
-  /// every candidate violates (least-violating, estimator-best among ties).
+  /// sim::breaks_slo) are demoted once per violating stream. By default the
+  /// demotion is a fixed factor of 0.25: positive rewards shrink toward
+  /// zero, negative ones are pushed further down, so violators stay
+  /// comparable but are dominated by any SLO-clean candidate of similar
+  /// quality. With this set, violators are instead demoted by a constant
+  /// reward offset per violating stream — far below any SLO-clean candidate
+  /// whatever the estimator's reward sign — so they can never outrank a
+  /// clean one. The search still returns SOME mapping when every candidate
+  /// violates (least-violating, estimator-best among ties).
   bool slo_hard_prune = false;
 };
 
@@ -91,7 +82,11 @@ class OmniBoostScheduler final : public IScheduler {
   /// \param zoo        dataset networks (layer counts, embedding columns)
   /// \param embedding  profiled distributed-embeddings tensor
   /// \param estimator  trained throughput estimator (shared, not owned
-  ///                   exclusively — several schedulers may reuse it)
+  ///                   exclusively — several schedulers may reuse it). The
+  ///                   search runs its CNN on the estimator's own kernel
+  ///                   (ThroughputEstimator::set_kernel); kReference with
+  ///                   {batch_size = 1, workers = 1} reproduces the paper's
+  ///                   sequential search bit-for-bit.
   OmniBoostScheduler(const models::ModelZoo& zoo,
                      const EmbeddingTensor& embedding,
                      std::shared_ptr<const ThroughputEstimator> estimator,
@@ -111,7 +106,7 @@ class OmniBoostScheduler final : public IScheduler {
   ///
   /// SLO/churn awareness: when ctx.slo_s names at least one SLO and
   /// ctx.board is set, rewards are shaped by a DES replay of each candidate
-  /// (OmniBoostConfig::slo_shape / slo_hard_prune), with ctx.migration's
+  /// (OmniBoostConfig::slo_hard_prune), with ctx.migration's
   /// per-candidate stalls applied — they reject candidates whose own churn
   /// would starve an SLO stream for the whole window (cheaper stalls price
   /// into the runtime's measured T, not latency). Shaped rewards
@@ -129,11 +124,6 @@ class OmniBoostScheduler final : public IScheduler {
   std::size_t carried_memo_footprint() const;
 
  private:
-  /// The estimator instance the search should query: the shared one when
-  /// its kernel matches config_.kernel, else a private clone with the
-  /// requested kernel (serialization round-trip; the shared instance is
-  /// never mutated).
-  std::shared_ptr<const ThroughputEstimator> active_estimator() const;
   /// Scores a wave of mappings for workload \p w with ONE batched CNN
   /// forward pass through \p est.
   BatchMappingEvaluator batch_evaluator(

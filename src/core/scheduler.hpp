@@ -69,15 +69,9 @@ struct ScheduleResult {
 /// (core::ServingRuntime): how the new workload relates to the one the
 /// previous mapping was produced for.
 struct ScheduleContext {
-  /// The workload the previous mapping scheduled. Not read by the built-in
-  /// schedulers (carried_from already encodes the old->new stream
-  /// relationship), but provided so overrides can interpret carried_from
-  /// indices without re-deriving the previous mix — e.g. a warm GA keying
-  /// saved populations by mix, or SLO-aware policies comparing mixes.
-  workload::Workload previous_workload;
   /// For each stream of the NEW workload: the index of the same model in
-  /// previous_workload, or -1 for a stream that just arrived. Mixes are
-  /// duplicate-free, so the match is unambiguous.
+  /// the workload the previous mapping scheduled, or -1 for a stream that
+  /// just arrived. Mixes are duplicate-free, so the match is unambiguous.
   std::vector<std::ptrdiff_t> carried_from;
   /// False asks for a cold full-budget decision: warm-started schedulers
   /// must behave exactly like schedule(). The serving runtime sets this

@@ -137,7 +137,6 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
     ep.decision = scheduler.schedule(w);
   } else {
     ScheduleContext ctx;
-    ctx.previous_workload = prev_w_;
     ctx.warm_start = config_.warm_start;
     ctx.slo_s = present_slo_s_;
     ctx.board = board_;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <limits>
 
-#include "sched/reduce.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
@@ -77,25 +76,6 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
   std::size_t total = 0;
   for (std::size_t c : counts) total += c;
 
-  // Flattened per-gene choice lists when a reduction is installed; empty
-  // otherwise (the bit-frozen default path makes no extra RNG draws).
-  std::vector<const std::vector<ComponentId>*> gene_choices;
-  if (config_.reduce != nullptr) {
-    OB_REQUIRE(config_.reduce->allowed.size() == counts.size(),
-               "GaScheduler: reduction/workload shape mismatch");
-    gene_choices.reserve(total);
-    for (std::size_t d = 0; d < counts.size(); ++d) {
-      OB_REQUIRE(config_.reduce->allowed[d].size() == counts[d],
-                 "GaScheduler: reduction layer-count mismatch");
-      for (std::size_t l = 0; l < counts[d]; ++l)
-        gene_choices.push_back(&config_.reduce->allowed[d][l]);
-    }
-  }
-  const auto draw_gene = [&](std::size_t g) {
-    const std::vector<ComponentId>& c = *gene_choices[g];
-    return c[rng.below(c.size())];
-  };
-
   core::ScheduleResult result;
 
   const auto unflatten = [&](const std::vector<ComponentId>& genes) {
@@ -130,15 +110,6 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
       const sim::Assignment a =
           workload::random_assignment(rng, c, config_.max_stages);
       ch.genes.insert(ch.genes.end(), a.begin(), a.end());
-    }
-    if (!gene_choices.empty()) {
-      // Resample genes the reduction disallows (stage damage is repaired by
-      // the merge layer inside unflatten, as after crossover).
-      for (std::size_t g = 0; g < total; ++g) {
-        const std::vector<ComponentId>& c = *gene_choices[g];
-        if (std::find(c.begin(), c.end(), ch.genes[g]) == c.end())
-          ch.genes[g] = draw_gene(g);
-      }
     }
     evaluate(ch);
   }
@@ -178,10 +149,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
       }
       for (std::size_t g = 0; g < total; ++g) {
         if (rng.chance(config_.mutation_rate))
-          child.genes[g] =
-              gene_choices.empty()
-                  ? static_cast<ComponentId>(rng.below(kNumComponents))
-                  : draw_gene(g);
+          child.genes[g] = static_cast<ComponentId>(rng.below(kNumComponents));
       }
       evaluate(child);
       next.push_back(std::move(child));

@@ -9,15 +9,12 @@
 /// damage.
 
 #include <cstdint>
-#include <memory>
 
 #include "core/scheduler.hpp"
 #include "models/zoo.hpp"
 #include "sim/des.hpp"
 
 namespace omniboost::sched {
-
-struct ReducedSpace;  // sched/reduce.hpp
 
 /// GA hyper-parameters.
 struct GaConfig {
@@ -36,13 +33,6 @@ struct GaConfig {
   /// the GA's per-mix "retraining" cost (~5 minutes in the paper).
   double board_seconds_per_eval = 12.0;
   std::uint64_t seed = 1234;
-  /// Optional pre-computed reduction (sched::reduce_search_space) matching
-  /// the scheduled workload: initial genes and mutations then draw only from
-  /// each layer's surviving components. Best-effort — crossover and the
-  /// stage-repair layer may still step outside the reduced space. Null (the
-  /// default) leaves the evolution bit-identical to the pre-reduction GA
-  /// (same RNG draw sequence).
-  std::shared_ptr<const ReducedSpace> reduce;
 };
 
 /// The GA scheduler. Every fitness evaluation runs the board simulator —

@@ -37,20 +37,6 @@ bool ReducedSpace::has_symmetry() const {
   return false;
 }
 
-std::vector<std::uint8_t> ReducedSpace::action_mask() const {
-  std::vector<std::uint8_t> mask;
-  for (const LayerChoices& dnn : allowed) {
-    for (const std::vector<device::ComponentId>& layer : dnn) {
-      std::uint8_t bits = 0;
-      for (const device::ComponentId c : layer)
-        bits = static_cast<std::uint8_t>(
-            bits | (1u << device::component_index(c)));
-      mask.push_back(bits);
-    }
-  }
-  return mask;
-}
-
 ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
                                  const workload::Workload& w,
                                  const device::DeviceSpec& device,

@@ -22,13 +22,10 @@
 ///     exported as equivalence classes, not list drops: dropping a duplicate
 ///     component entirely would be unsound (optima may use both at once).
 ///
-/// Consumers: BranchAndBoundScheduler (both reductions),
-/// ExhaustiveScheduler (allowed lists, via ExhaustiveConfig::reduce), and
-/// optionally MCTS (MctsConfig::action_mask) and the GA (GaConfig::reduce) —
-/// both off by default and bit-compatible when off.
+/// Consumers: BranchAndBoundScheduler (both reductions) and
+/// ExhaustiveScheduler (allowed lists, via ExhaustiveConfig::reduce).
 
 #include <array>
-#include <cstdint>
 #include <vector>
 
 #include "device/device.hpp"
@@ -65,11 +62,6 @@ struct ReducedSpace {
 
   /// True when at least two components fall in the same symmetry class.
   bool has_symmetry() const;
-
-  /// Flattened per-decision bitmask (bit c = component c allowed) in MCTS
-  /// decision order: dnn-after-dnn, layer-after-layer. Plug into
-  /// core::MctsConfig::action_mask.
-  std::vector<std::uint8_t> action_mask() const;
 };
 
 /// Computes the reduced space of \p w on \p device. Deterministic and

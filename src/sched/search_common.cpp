@@ -50,27 +50,6 @@ WorkloadEvaluatorFactory analytic_evaluator_factory(
   };
 }
 
-WorkloadEvaluatorFactory ensemble_evaluator_factory(
-    const models::ModelZoo& zoo, const core::EmbeddingTensor& embedding,
-    std::vector<std::shared_ptr<const core::ThroughputEstimator>> members) {
-  OB_REQUIRE(!members.empty(), "ensemble_evaluator_factory: empty ensemble");
-  for (const auto& m : members) {
-    OB_REQUIRE(m != nullptr, "ensemble_evaluator_factory: null member");
-    OB_REQUIRE(m->trained(),
-               "ensemble_evaluator_factory: every member must be trained");
-  }
-  return [&zoo, &embedding, members = std::move(members)](
-             const workload::Workload& w) -> core::MappingEvaluator {
-    (void)zoo;
-    return [&embedding, members, w](const sim::Mapping& m) {
-      const tensor::Tensor input = embedding.masked_input(w, m);
-      double sum = 0.0;
-      for (const auto& est : members) sum += est->predict_reward(input);
-      return sum / static_cast<double>(members.size());
-    };
-  };
-}
-
 namespace {
 
 /// C(n, k) in floating point (exact for the small k we use).

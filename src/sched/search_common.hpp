@@ -6,10 +6,11 @@
 /// core::MappingEvaluator scores mappings of one fixed workload — the factory
 /// closes over the workload and produces the evaluator on demand.
 ///
-/// Three factories cover the evaluation regimes of the paper and DESIGN.md's
-/// ablation A2: the trained CNN estimator (production OmniBoost), the DES
-/// board oracle (an idealized "measure every candidate" scheduler), and the
-/// closed-form analytic model (a fast approximate oracle).
+/// Three factories cover the evaluation regimes of the paper and the
+/// estimator ablation (bench_ablation_estimator): the trained CNN estimator
+/// (production OmniBoost), the DES board oracle (an idealized "measure every
+/// candidate" scheduler), and the closed-form analytic model (a fast
+/// approximate oracle).
 
 #include <functional>
 #include <memory>
@@ -46,15 +47,6 @@ WorkloadEvaluatorFactory oracle_evaluator_factory(
 /// magnitude faster than the DES with the same qualitative ranking.
 WorkloadEvaluatorFactory analytic_evaluator_factory(
     const models::ModelZoo& zoo, std::shared_ptr<const sim::AnalyticModel> model);
-
-/// Ensemble evaluation: the mean reward of several independently-trained
-/// estimators (different init seeds over the same campaign). Averaging
-/// decorrelates the members' regression errors, which tempers the winner's
-/// curse a search incurs when it maximizes a single noisy estimate — at K
-/// times the query cost. All estimators must be trained.
-WorkloadEvaluatorFactory ensemble_evaluator_factory(
-    const models::ModelZoo& zoo, const core::EmbeddingTensor& embedding,
-    std::vector<std::shared_ptr<const core::ThroughputEstimator>> members);
 
 // ---------------------------------------------------------------------------
 // Canonical enumeration of the stage-limited assignment space. Shared by

@@ -346,21 +346,35 @@ TEST(DaemonE2E, ClosedLoopRepliesTakeWellUnderADelayedAck) {
   EXPECT_EQ(daemon.shutdown(), 0);
 }
 
-TEST(CliFlags, NegativeCountsFailAtTheFlag) {
-  // Each count flag at -1 must exit 2 with `--<name> must be >= <min>` —
-  // not wrap to a huge size_t and die in an allocation, or hang in a search
-  // loop (the 10 s cap turns a hang into exit 124). Greedy trains no
-  // estimator and runs no search, so this also pins that the design-time and
-  // search counts are checked whatever the scheduler is.
+TEST(CliFlags, BadValuesFailAtTheFlag) {
+  // Each bad value must exit 2 with a message naming the flag — not wrap a
+  // count to a huge size_t and die in an allocation, hang in a search loop,
+  // or train the estimator and only then fail at the first warm decision
+  // (the 10 s cap turns a hang or a training run into exit 124). Greedy
+  // trains no estimator and runs no search, so its cases also pin that the
+  // design-time and search values are checked whatever the scheduler is.
+  std::vector<std::pair<std::string, std::string>> cases;  // args, message
   const std::vector<std::pair<std::string, int>> counts = {
       {"budget", 1},         {"depth", 1},          {"batch", 1},
       {"samples", 1},        {"epochs", 1},         {"design-workers", 0},
       {"events", 1},         {"max-concurrent", 1}, {"min-concurrent", 1},
       {"boards", 1}};
-  for (const auto& [name, min] : counts) {
+  for (const auto& [name, min] : counts)
+    cases.emplace_back("--scheduler greedy --" + name + " -1",
+                       "--" + name + " must be >= " + std::to_string(min));
+  for (const std::string scheduler : {"greedy", "omniboost"}) {
+    const std::string rollout =
+        "--scheduler " + scheduler + " --rollout-fraction ";
+    for (const char* value : {"0", "1.5"})
+      cases.emplace_back(rollout + value,
+                         "--rollout-fraction must be in (0, 1]");
+    // nan is refused by the number parser, which names the flag too.
+    cases.emplace_back(rollout + "nan",
+                       "option --rollout-fraction expects a number");
+  }
+  for (const auto& [args, want] : cases) {
     const std::string cmd = "timeout 10 " + std::string(OMNIBOOST_CLI_PATH) +
-                            " serve --scheduler greedy --" + name +
-                            " -1 2>&1";
+                            " serve " + args + " 2>&1";
     FILE* pipe = popen(cmd.c_str(), "r");
     ASSERT_NE(pipe, nullptr);
     std::string out;
@@ -368,11 +382,9 @@ TEST(CliFlags, NegativeCountsFailAtTheFlag) {
     while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
     const int status = pclose(pipe);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
-        << "--" << name << ": status " << status << ", output: " << out;
-    const std::string want =
-        "--" + name + " must be >= " + std::to_string(min);
+        << args << ": status " << status << ", output: " << out;
     EXPECT_NE(out.find(want), std::string::npos)
-        << "--" << name << ": no '" << want << "' in: " << out;
+        << args << ": no '" << want << "' in: " << out;
   }
 }
 

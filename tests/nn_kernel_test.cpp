@@ -447,7 +447,9 @@ TEST_F(EstimatorKernelParity, ReferenceKernelReproducesThePaperPathOn3Seeds) {
   // {kernel = reference, batch_size = 1, workers = 1} through the production
   // scheduler must replay the seed tree's sequential search bit-for-bit:
   // train under the reference kernel, then compare against the pre-batching
-  // scalar/uncached search over the very same estimator instance.
+  // scalar/uncached search over the very same estimator instance. The
+  // scheduler is handed no kernel of its own: the estimator's kernel is the
+  // search's kernel.
   const device::DeviceSpec spec = device::make_hikey970();
   const sim::DesSimulator board(spec);
   core::DatasetConfig dc;
@@ -471,7 +473,6 @@ TEST_F(EstimatorKernelParity, ReferenceKernelReproducesThePaperPathOn3Seeds) {
     cfg.mcts.seed = seed;
     cfg.batch_size = 1;
     cfg.workers = 1;
-    cfg.kernel = KernelKind::kReference;
     core::OmniBoostScheduler sched(zoo(), embedding(), est, cfg);
     const auto got = sched.schedule(w);
 
@@ -488,38 +489,6 @@ TEST_F(EstimatorKernelParity, ReferenceKernelReproducesThePaperPathOn3Seeds) {
     EXPECT_EQ(got.evaluations + got.cache_hits, want.evaluations)
         << "seed " << seed;
   }
-}
-
-TEST_F(EstimatorKernelParity, SchedulerClonesOnKernelMismatchOnly) {
-  // A gemm-trained estimator searched with cfg.kernel = reference (and vice
-  // versa) must leave the shared instance untouched and still produce a
-  // valid, deterministic decision.
-  const device::DeviceSpec spec = device::make_hikey970();
-  const sim::DesSimulator board(spec);
-  core::DatasetConfig dc;
-  dc.samples = 50;
-  const core::SampleSet data =
-      core::generate_dataset(zoo(), embedding(), board, dc);
-  auto est = std::make_shared<core::ThroughputEstimator>(
-      embedding().models_dim(), embedding().layers_dim());
-  nn::L1Loss l1;
-  nn::TrainConfig tc;
-  tc.epochs = 3;
-  est->fit(data, 10, l1, tc);
-  const KernelKind original = est->kernel();
-
-  const workload::Workload w{{models::ModelId::kAlexNet,
-                              models::ModelId::kSqueezeNet}};
-  core::OmniBoostConfig cfg;
-  cfg.mcts.budget = 80;
-  cfg.kernel = original == KernelKind::kGemm ? KernelKind::kReference
-                                             : KernelKind::kGemm;
-  core::OmniBoostScheduler sched(zoo(), embedding(), est, cfg);
-  const auto a = sched.schedule(w);
-  const auto b = sched.schedule(w);
-  EXPECT_EQ(est->kernel(), original) << "shared estimator was mutated";
-  EXPECT_TRUE(a.mapping.within_stage_limit(3));
-  EXPECT_EQ(a.mapping, b.mapping);
 }
 
 }  // namespace

@@ -6,13 +6,10 @@
 #include <memory>
 
 #include "core/dataset.hpp"
-#include "sched/search_common.hpp"
 #include "core/omniboost.hpp"
 #include "models/zoo.hpp"
 #include "nn/loss.hpp"
 #include "sim/analytic.hpp"
-#include "util/rng.hpp"
-#include "workload/generator.hpp"
 
 namespace {
 
@@ -166,58 +163,6 @@ TEST(ParallelMcts, OmniBoostSchedulerEndToEnd) {
   core::OmniBoostScheduler sseq(zoo(), embedding, est, seq);
   const auto c = sseq.schedule(w);
   EXPECT_TRUE(c.mapping.within_stage_limit(3));
-}
-
-TEST(EnsembleEvaluator, MeanOfMembersAndValidation) {
-  const device::DeviceSpec spec = device::make_hikey970();
-  const device::CostModel cost(spec);
-  const core::EmbeddingTensor embedding(zoo(), cost);
-  const sim::DesSimulator board(spec);
-
-  core::DatasetConfig dc;
-  dc.samples = 50;
-  const core::SampleSet data =
-      core::generate_dataset(zoo(), embedding, board, dc);
-  nn::L1Loss l1;
-  nn::TrainConfig tc;
-  tc.epochs = 3;
-
-  std::vector<std::shared_ptr<const core::ThroughputEstimator>> members;
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    core::EstimatorConfig ec;
-    ec.init_seed = seed;
-    auto est = std::make_shared<core::ThroughputEstimator>(
-        embedding.models_dim(), embedding.layers_dim(), ec);
-    est->fit(data, 10, l1, tc);
-    members.push_back(std::move(est));
-  }
-
-  const auto factory =
-      sched::ensemble_evaluator_factory(zoo(), embedding, members);
-  const Workload w{{ModelId::kAlexNet, ModelId::kSqueezeNet}};
-  const auto evaluate = factory(w);
-
-  util::Rng rng(5);
-  const sim::Mapping m = workload::random_mapping(rng, zoo(), w, 3);
-  const tensor::Tensor input = embedding.masked_input(w, m);
-  double expected = 0.0;
-  for (const auto& est : members) expected += est->predict_reward(input);
-  expected /= 3.0;
-  EXPECT_NEAR(evaluate(m), expected, 1e-12);
-
-  // Members genuinely disagree (different inits), so the mean is a real
-  // aggregation, not a triple of identical values.
-  EXPECT_NE(members[0]->predict_reward(input),
-            members[1]->predict_reward(input));
-
-  // Validation: empty ensembles and untrained members are rejected.
-  EXPECT_THROW(sched::ensemble_evaluator_factory(zoo(), embedding, {}),
-               std::invalid_argument);
-  auto untrained = std::make_shared<core::ThroughputEstimator>(
-      embedding.models_dim(), embedding.layers_dim());
-  EXPECT_THROW(
-      sched::ensemble_evaluator_factory(zoo(), embedding, {untrained}),
-      std::invalid_argument);
 }
 
 }  // namespace

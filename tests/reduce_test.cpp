@@ -1,18 +1,15 @@
 // Property tests for the pre-search reduction pass: the reduced space never
-// excludes an optimal mapping, identical-device symmetry preserves the
-// objective, and the optional MCTS/GA consumption is quality-neutral with
-// the OFF path bit-identical to the pre-reduction searches.
+// excludes an optimal mapping, and identical-device symmetry preserves the
+// objective.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "core/omniboost.hpp"
 #include "models/zoo.hpp"
 #include "sched/bnb.hpp"
 #include "sched/exhaustive.hpp"
-#include "sched/ga.hpp"
 #include "sched/greedy.hpp"
 #include "sched/reduce.hpp"
 #include "sim/analytic.hpp"
@@ -37,10 +34,6 @@ std::shared_ptr<const sim::AnalyticModel> analytic() {
 
 sched::WorkloadEvaluatorFactory analytic_factory() {
   return sched::analytic_evaluator_factory(zoo(), analytic());
-}
-
-double achieved(const Workload& w, const sim::Mapping& m) {
-  return analytic()->evaluate(w.resolve(zoo()), m).avg_throughput;
 }
 
 // --- Soundness: reduction never excludes an optimum ------------------------
@@ -171,99 +164,6 @@ TEST(Reduce, HikeyHasNoSymmetricComponents) {
   const auto space =
       sched::reduce_search_space(zoo(), w, device::make_hikey970());
   EXPECT_FALSE(space.has_symmetry());
-}
-
-// --- Optional consumers: MCTS and GA ---------------------------------------
-
-TEST(Reduce, ActionMaskShapeMatchesDecisions) {
-  const Workload w{{ModelId::kVgg19, ModelId::kMobileNet}};
-  const auto space =
-      sched::reduce_search_space(zoo(), w, device::make_hikey970());
-  const auto mask = space.action_mask();
-  std::size_t total = 0;
-  for (const std::size_t c : w.layer_counts(zoo())) total += c;
-  ASSERT_EQ(mask.size(), total);
-  for (const std::uint8_t bits : mask) {
-    EXPECT_NE(bits, 0u);       // no layer may lose every component
-    EXPECT_LT(bits, 8u);       // only the low 3 bits may be set
-  }
-}
-
-TEST(Reduce, MctsOffPathBitIdenticalToAllOnesMask) {
-  // The bit-compat pin: an empty mask and an all-ones mask produce the same
-  // valid-action sets, hence the same RNG draw sequence and the same result.
-  const Workload w{{ModelId::kAlexNet, ModelId::kSqueezeNet}};
-  core::MctsConfig base;
-  base.budget = 200;
-  base.seed = 9;
-  core::MctsConfig ones = base;
-  std::size_t total = 0;
-  for (const std::size_t c : w.layer_counts(zoo())) total += c;
-  ones.action_mask = std::make_shared<const std::vector<std::uint8_t>>(
-      std::vector<std::uint8_t>(total, 0x7));
-
-  const auto factory = analytic_factory();
-  core::MctsScheduler off("off", zoo(), factory(w), base);
-  core::MctsScheduler on("on", zoo(), factory(w), ones);
-  const auto r_off = off.schedule(w);
-  const auto r_on = on.schedule(w);
-  EXPECT_EQ(r_off.mapping, r_on.mapping);
-  EXPECT_DOUBLE_EQ(r_off.expected_reward, r_on.expected_reward);
-  EXPECT_EQ(r_off.evaluations, r_on.evaluations);
-}
-
-TEST(Reduce, MctsWithReductionKeepsQuality) {
-  const Workload w{{ModelId::kVgg19, ModelId::kMobileNet}};
-  const auto space = std::make_shared<const sched::ReducedSpace>(
-      sched::reduce_search_space(zoo(), w, device::make_hikey970()));
-
-  core::MctsConfig base;
-  base.budget = 300;
-  base.seed = 21;
-  core::MctsConfig masked = base;
-  masked.action_mask = std::make_shared<const std::vector<std::uint8_t>>(
-      space->action_mask());
-
-  const auto factory = analytic_factory();
-  core::MctsScheduler plain("plain", zoo(), factory(w), base);
-  core::MctsScheduler reduced("reduced", zoo(), factory(w), masked);
-  const double q_plain = achieved(w, plain.schedule(w).mapping);
-  const double q_reduced = achieved(w, reduced.schedule(w).mapping);
-  // Reduction only removes provably-suboptimal choices, so at equal budget
-  // the masked search must stay within tolerance of (typically above) the
-  // unmasked one.
-  EXPECT_GE(q_reduced, 0.85 * q_plain);
-}
-
-TEST(Reduce, GaWithReductionKeepsQualityAndStaysDeterministic) {
-  const Workload w{{ModelId::kVgg19, ModelId::kMobileNet}};
-  const auto space = std::make_shared<const sched::ReducedSpace>(
-      sched::reduce_search_space(zoo(), w, device::make_hikey970()));
-
-  sched::GaConfig plain_cfg;  // reduce == nullptr: the bit-frozen path
-  sched::GaConfig red_cfg;
-  red_cfg.reduce = space;
-
-  sched::GaScheduler plain(zoo(), device::make_hikey970(), plain_cfg);
-  sched::GaScheduler reduced_a(zoo(), device::make_hikey970(), red_cfg);
-  sched::GaScheduler reduced_b(zoo(), device::make_hikey970(), red_cfg);
-
-  const auto r_plain = plain.schedule(w);
-  const auto r_a = reduced_a.schedule(w);
-  const auto r_b = reduced_b.schedule(w);
-
-  EXPECT_EQ(r_a.mapping, r_b.mapping) << "reduced GA must stay deterministic";
-  EXPECT_GE(achieved(w, r_a.mapping), 0.80 * achieved(w, r_plain.mapping));
-  EXPECT_TRUE(r_a.mapping.within_stage_limit(3));
-}
-
-TEST(Reduce, GaNullReducePathIsUnchanged) {
-  // Two schedulers with a default config must replay the identical RNG
-  // sequence — the OFF-path determinism pin backing bit-compatibility.
-  const Workload w{{ModelId::kAlexNet, ModelId::kMobileNet}};
-  sched::GaScheduler a(zoo(), device::make_hikey970(), {});
-  sched::GaScheduler b(zoo(), device::make_hikey970(), {});
-  EXPECT_EQ(a.schedule(w).mapping, b.schedule(w).mapping);
 }
 
 }  // namespace

@@ -287,7 +287,6 @@ TEST(OmniBoostReschedule, WarmDecisionSpendsRolloutFractionOfTheBudget) {
   EXPECT_EQ(cold.evaluations + cold.cache_hits, 48u);
 
   core::ScheduleContext ctx;
-  ctx.previous_workload = w1;
   ctx.carried_from = {0, 1, -1};
   const core::ScheduleResult warm = omni.reschedule(w2, cold.mapping, ctx);
   EXPECT_EQ(warm.evaluations + warm.cache_hits, 12u);  // 0.25 * 48
@@ -315,7 +314,6 @@ TEST(OmniBoostReschedule, PinnedRolloutKeepsSurvivingAssignmentsReachable) {
   // Departure: both surviving streams carry over; no new streams.
   const Workload w2{{ModelId::kVgg16, ModelId::kMobileNet}};
   core::ScheduleContext ctx;
-  ctx.previous_workload = w1;
   ctx.carried_from = {0, 1};
   const core::ScheduleResult warm = omni.reschedule(w2, cold.mapping, ctx);
   EXPECT_EQ(warm.evaluations + warm.cache_hits, 1u);
@@ -332,7 +330,6 @@ TEST(OmniBoostReschedule, CarriedMemoServesRepeatedMixesFromCache) {
   const core::ScheduleResult cold = omni.schedule(w);
 
   core::ScheduleContext ctx;
-  ctx.previous_workload = w;
   ctx.carried_from = {0, 1};
   const core::ScheduleResult first = omni.reschedule(w, cold.mapping, ctx);
   // Same mix again: the carried memo already holds every mapping the first
@@ -373,7 +370,6 @@ TEST(ServingRuntime, DefaultConfigReplaysManualScheduleRescheduleThreeSeeds) {
         direct = manual.schedule(w);
       } else {
         core::ScheduleContext ctx;  // PR-4 shape: board/migration left null
-        ctx.previous_workload = prev_w;
         for (const ModelId id : w.mix) {
           const auto it =
               std::find(prev_w.mix.begin(), prev_w.mix.end(), id);
@@ -603,7 +599,6 @@ TEST(OmniBoostReschedule, LooseSloLeavesTheDecisionBitIdentical) {
   ASSERT_EQ(cold_a.mapping, cold_b.mapping);
 
   core::ScheduleContext ctx;
-  ctx.previous_workload = w1;
   ctx.carried_from = {0, 1, -1};
   const core::ScheduleResult no_slo = plain.reschedule(w2, cold_a.mapping, ctx);
 
@@ -637,7 +632,6 @@ TEST(OmniBoostReschedule, ImpossibleSloStillYieldsAValidMapping) {
   const core::ScheduleResult cold = omni.schedule(w1);
 
   core::ScheduleContext ctx;
-  ctx.previous_workload = w1;
   ctx.carried_from = {0, 1};
   ctx.slo_s = {1e-9, 1e-9};
   ctx.board = &board();
@@ -676,7 +670,6 @@ TEST(OmniBoostReschedule, SloShapingAvoidsAViolatingPreviousMapping) {
   core::OmniBoostScheduler omni(zoo(), embedding(), trained_estimator(), cfg);
 
   core::ScheduleContext ctx;
-  ctx.previous_workload = w;
   ctx.carried_from = {0, 1};
   ctx.slo_s = {slo, 0.0};
   ctx.board = &board();
@@ -696,10 +689,8 @@ TEST(OmniBoostReschedule, CarriedMemosAreBoundedByLruEviction) {
   const Workload wa{{ModelId::kAlexNet, ModelId::kMobileNet}};
   const Workload wb{{ModelId::kAlexNet, ModelId::kSqueezeNet}};
   core::ScheduleContext ctx_a;
-  ctx_a.previous_workload = wa;
   ctx_a.carried_from = {0, 1};
   core::ScheduleContext ctx_b;
-  ctx_b.previous_workload = wa;
   ctx_b.carried_from = {0, -1};  // MobileNet left, SqueezeNet arrived
 
   core::OmniBoostScheduler capped(zoo(), embedding(), trained_estimator(),

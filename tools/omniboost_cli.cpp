@@ -591,6 +591,8 @@ int run_serve(int argc, char** argv) {
   apply_kernel_option(args);
   SchedulerOptions opts = parse_scheduler_options(args);
   opts.rollout_fraction = args.get_double("rollout-fraction");
+  if (!(opts.rollout_fraction > 0.0 && opts.rollout_fraction <= 1.0))
+    throw std::invalid_argument("--rollout-fraction must be in (0, 1]");
   opts.slo_hard_prune = args.get_flag("slo-hard-prune");
   const std::uint64_t seed = opts.seed;
   const bool as_json = args.get_flag("json");

@@ -126,13 +126,20 @@ if [ -x "$build_dir/omniboost_cli" ]; then
   # Serve JSON smoke: one report schema at every board count. Each report
   # must parse and conserve streams, each board's epoch list must hold
   # exactly epoch_count entries, and each board must carry the fleet's
-  # totals keys (`decisions`, `total_*`), which the fleet sums.
+  # totals keys (`decisions`, `total_*`), which the fleet sums. The
+  # omniboost run (SLOs, migration cost, faults on a 3-board fleet) must
+  # also DES-replay candidates, so every CI flavor drives the SLO-shaped
+  # warm search end to end.
   if command -v python3 > /dev/null 2>&1; then
     echo "== serve JSON smoke =="
-    for boards in 1 2; do
-      "$build_dir/omniboost_cli" serve --events 8 --scheduler greedy --json \
-        --boards "$boards" > "$smoke_out/serve-$boards.json"
-      python3 - "$smoke_out/serve-$boards.json" <<'PYEOF'
+    # serve_json <tag> <replays|-> <serve args...>
+    serve_json() {
+      tag=$1
+      replays=$2
+      shift 2
+      "$build_dir/omniboost_cli" serve --json "$@" \
+        > "$smoke_out/serve-$tag.json"
+      python3 - "$smoke_out/serve-$tag.json" "$replays" <<'PYEOF'
 import json, math, sys
 r = json.load(open(sys.argv[1]))
 is_total = lambda k: k == "decisions" or k.startswith("total_")
@@ -146,10 +153,21 @@ for b in r["fleet"]:
     assert [k for k in b if is_total(k)] == totals, b["board"] + ": totals"
 for k in totals:
     assert math.isclose(r[k], sum(b[k] for b in r["fleet"])), k + ": fleet sum"
+if sys.argv[2] == "replays":
+    assert r["total_des_replays"] > 0, "no DES replays: SLO search never ran"
 print(f"serve JSON smoke: {r['boards']} board(s), "
-      f"offered={r['offered_streams']} admitted={r['admitted_streams']}")
+      f"offered={r['offered_streams']} admitted={r['admitted_streams']} "
+      f"des_replays={r['total_des_replays']}")
 PYEOF
+    }
+    for boards in 1 2; do
+      serve_json "greedy-$boards" - --events 8 --scheduler greedy \
+        --boards "$boards"
     done
+    serve_json omniboost-3 replays --scheduler omniboost --boards 3 \
+      --arrival poisson:0.6 --horizon 60 --slo 500 --migration-cost 1 \
+      --faults mtbf:60:mttr:15:throttle:0.5 --samples 40 --epochs 2 \
+      --budget 50
   else
     echo "run_tier1.sh: WARNING: python3 not found, skipping the serve" \
          "JSON smoke" >&2
