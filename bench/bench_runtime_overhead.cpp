@@ -321,7 +321,8 @@ int main(int argc, char** argv) {
     const std::size_t kernel_reps = bench::scaled(50, 5);
     const std::size_t kernel_repeats = bench::scaled(5, 2);
     std::printf("\ncompute kernels, reference vs gemm vs simd (isa: %s; "
-                "batch %zu, min of %zu x %zu forwards):\n",
+                "batch %zu unless the row says, min of %zu x %zu "
+                "forwards):\n",
                 tensor::simd_isa(), wave, kernel_repeats, kernel_reps);
     util::Table kt({"stage", "batch", "reference (ms)", "gemm (ms)",
                     "simd (ms)", "ref/gemm", "gemm/simd",
@@ -377,45 +378,51 @@ int main(int argc, char** argv) {
                      kernel_reps, kernel_repeats);
     }
 
-    // Full CNN forward: one batched reward query per kernel kind.
+    // Full CNN forward: one reward query per kernel kind, at the expansion-
+    // wave width and at batch 1 (the default cold decision's shape, where
+    // every conv block runs fused under gemm/simd).
     {
       const auto ref_est = estimator_clone(nn::KernelKind::kReference);
       const auto gemm_est = estimator_clone(nn::KernelKind::kGemm);
       const auto simd_est = estimator_clone(nn::KernelKind::kSimd);
       const auto counts = mix().layer_counts(ctx().zoo());
-      const std::vector<tensor::Tensor> inputs(
-          wave,
-          ctx().embedding().masked_input(
-              mix(), sim::Mapping::all_on(counts, device::ComponentId::kGpu)));
-      const auto ra = ref_est->predict_rewards(inputs);
-      const auto rb = gemm_est->predict_rewards(inputs);
-      const auto rc = simd_est->predict_rewards(inputs);
-      double max_delta = 0.0;
-      for (std::size_t i = 0; i < ra.size(); ++i) {
-        max_delta = std::max(max_delta, std::fabs(ra[i] - rb[i]));
-        max_delta = std::max(max_delta, std::fabs(rb[i] - rc[i]));
+      const tensor::Tensor input = ctx().embedding().masked_input(
+          mix(), sim::Mapping::all_on(counts, device::ComponentId::kGpu));
+      for (const std::size_t batch : {wave, std::size_t{1}}) {
+        const std::vector<tensor::Tensor> inputs(batch, input);
+        const auto ra = ref_est->predict_rewards(inputs);
+        const auto rb = gemm_est->predict_rewards(inputs);
+        const auto rc = simd_est->predict_rewards(inputs);
+        double max_delta = 0.0;
+        for (std::size_t i = 0; i < ra.size(); ++i) {
+          max_delta = std::max(max_delta, std::fabs(ra[i] - rb[i]));
+          max_delta = std::max(max_delta, std::fabs(rb[i] - rc[i]));
+        }
+        const double scale = 1e3 / static_cast<double>(kernel_reps);
+        const TimedRuns ref_t = timed_runs(kernel_repeats, [&] {
+          for (std::size_t i = 0; i < kernel_reps; ++i)
+            ref_est->predict_rewards(inputs);
+        });
+        const TimedRuns gemm_t = timed_runs(kernel_repeats, [&] {
+          for (std::size_t i = 0; i < kernel_reps; ++i)
+            gemm_est->predict_rewards(inputs);
+        });
+        const TimedRuns simd_t = timed_runs(kernel_repeats, [&] {
+          for (std::size_t i = 0; i < kernel_reps; ++i)
+            simd_est->predict_rewards(inputs);
+        });
+        const std::string label =
+            batch == 1 ? "estimator CNN forward (batch 1)"
+                       : "estimator CNN forward";
+        d3.check(label.c_str(), max_delta);
+        kt.add_row({label, std::to_string(batch),
+                    util::fmt(scale * ref_t.min_s, 3),
+                    util::fmt(scale * gemm_t.min_s, 3),
+                    util::fmt(scale * simd_t.min_s, 3),
+                    util::fmt(ref_t.min_s / gemm_t.min_s, 2),
+                    util::fmt(gemm_t.min_s / simd_t.min_s, 2),
+                    util::fmt(max_delta * 1e6, 3)});
       }
-      const double scale = 1e3 / static_cast<double>(kernel_reps);
-      const TimedRuns ref_t = timed_runs(kernel_repeats, [&] {
-        for (std::size_t i = 0; i < kernel_reps; ++i)
-          ref_est->predict_rewards(inputs);
-      });
-      const TimedRuns gemm_t = timed_runs(kernel_repeats, [&] {
-        for (std::size_t i = 0; i < kernel_reps; ++i)
-          gemm_est->predict_rewards(inputs);
-      });
-      const TimedRuns simd_t = timed_runs(kernel_repeats, [&] {
-        for (std::size_t i = 0; i < kernel_reps; ++i)
-          simd_est->predict_rewards(inputs);
-      });
-      d3.check("estimator CNN forward", max_delta);
-      kt.add_row({"estimator CNN forward", std::to_string(wave),
-                  util::fmt(scale * ref_t.min_s, 3),
-                  util::fmt(scale * gemm_t.min_s, 3),
-                  util::fmt(scale * simd_t.min_s, 3),
-                  util::fmt(ref_t.min_s / gemm_t.min_s, 2),
-                  util::fmt(gemm_t.min_s / simd_t.min_s, 2),
-                  util::fmt(max_delta * 1e6, 3)});
     }
 
     // End-to-end decision under each kernel (same budget as the batching

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/gemm_dispatch.hpp"
 #include "nn/layers.hpp"
 #include "util/require.hpp"
 
@@ -33,37 +34,68 @@ inline float rational_tanh(float x) {
   return x * p / q;
 }
 
-/// GELU::value with rational_tanh for std::tanh: within
-/// 2.4e-7 * max(1, |x|) of it on [-20, 20] (tests/nn_kernel_test.cpp
-/// bounds it at 1e-6). A NaN input stays NaN through the leading x factor.
-inline float gelu_fast(float x) {
-  const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-  return 0.5f * x * (1.0f + rational_tanh(inner));
-}
-}  // namespace
-
-float GELU::value(float x) {
-  const float inner = kSqrt2OverPi * (x + kGeluCoef * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+/// The tanh argument of value(): sqrt(2/pi) * (x + c*x*x*x).
+inline float value_inner(float x) {
+  return kSqrt2OverPi * (x + kGeluCoef * x * x * x);
 }
 
-float GELU::derivative(float x) {
+/// The tanh argument of derivative(), rounded as c*(x*x*x): it differs from
+/// value_inner(x) in the last bit for some x.
+inline float derivative_inner(float x) {
   const float x3 = x * x * x;
-  const float inner = kSqrt2OverPi * (x + kGeluCoef * x3);
-  const float t = std::tanh(inner);
+  return kSqrt2OverPi * (x + kGeluCoef * x3);
+}
+
+/// GELU given t = tanh(value_inner(x)) (or its rational approximation).
+inline float gelu_from_tanh(float x, float t) { return 0.5f * x * (1.0f + t); }
+
+/// d GELU / dx given t = tanh(derivative_inner(x)).
+inline float derivative_from_tanh(float x, float t) {
   const float sech2 = 1.0f - t * t;
   const float dinner = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * x * x);
   return 0.5f * (1.0f + t) + 0.5f * x * sech2 * dinner;
 }
 
+/// GELU::value with rational_tanh for std::tanh: within
+/// 2.4e-7 * max(1, |x|) of it on [-20, 20] (tests/nn_kernel_test.cpp
+/// bounds it at 1e-6). A NaN input stays NaN through the leading x factor.
+inline float gelu_fast(float x) {
+  return gelu_from_tanh(x, rational_tanh(value_inner(x)));
+}
+}  // namespace
+
+float GELU::value(float x) {
+  return gelu_from_tanh(x, std::tanh(value_inner(x)));
+}
+
+float GELU::derivative(float x) {
+  return derivative_from_tanh(x, std::tanh(derivative_inner(x)));
+}
+
 Tensor GELU::forward(const Tensor& x) {
-  input_ = training() ? x : Tensor();
   Tensor y = x;
   float* v = y.data();
   const std::size_t n = y.size();
+  if (training()) {
+    // value() and derivative() per element, sharing one tanh wherever the
+    // two rounded tanh arguments agree (about 95% of inputs); where they
+    // differ, derivative() gets its own, so both stay bit-exact.
+    if (slope_.shape() != x.shape()) slope_ = Tensor(x.shape());
+    float* d = slope_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const float xi = v[i];
+      const float inner = value_inner(xi);
+      const float t = std::tanh(inner);
+      const float dinner = derivative_inner(xi);
+      d[i] = derivative_from_tanh(xi, dinner == inner ? t : std::tanh(dinner));
+      v[i] = gelu_from_tanh(xi, t);
+    }
+    return y;
+  }
+  slope_ = Tensor();
   // One plain loop per path (no std::function, no branch in the body), so
   // the compiler can vectorize the rational one; see CMakeLists.txt.
-  if (training() || kernel_kind_ == KernelKind::kReference) {
+  if (kernel_kind_ == KernelKind::kReference) {
     for (std::size_t i = 0; i < n; ++i) v[i] = value(v[i]);
   } else {
     for (std::size_t i = 0; i < n; ++i) v[i] = gelu_fast(v[i]);
@@ -72,13 +104,27 @@ Tensor GELU::forward(const Tensor& x) {
 }
 
 Tensor GELU::backward(const Tensor& grad_out) {
-  OB_REQUIRE(!input_.empty(), "GELU::backward before forward");
-  OB_REQUIRE(grad_out.shape() == input_.shape(),
+  OB_REQUIRE(!slope_.empty(), "GELU::backward before forward");
+  OB_REQUIRE(grad_out.shape() == slope_.shape(),
              "GELU::backward: grad shape mismatch");
   Tensor gx(grad_out.shape());
   for (std::size_t i = 0; i < gx.size(); ++i)
-    gx[i] = grad_out[i] * derivative(input_[i]);
+    gx[i] = grad_out[i] * slope_[i];
   return gx;
+}
+
+void detail::bias_bn_gelu(const float* src, float* dst, std::size_t n,
+                          const float* bias, BatchNorm2d::Affine bn) {
+  // The layered path's three loops (conv bias, BatchNorm2d::forward,
+  // GELU::forward) composed element by element: the same float operations
+  // in the same order, so the result is bit-identical.
+  if (bias != nullptr) {
+    const float b = *bias;
+    for (std::size_t i = 0; i < n; ++i)
+      dst[i] = gelu_fast(bn.apply(src[i] + b));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) dst[i] = gelu_fast(bn.apply(src[i]));
+  }
 }
 
 Tensor ReLU::forward(const Tensor& x) {

@@ -77,17 +77,20 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
     }
   } else {
     for (std::size_t c = 0; c < channels_; ++c) {
-      const float mean = running_mean_[c];
-      const float istd = 1.0f / std::sqrt(running_var_[c] + eps_);
-      const float g = gamma_.value[c], bta = beta_.value[c];
+      const Affine a = inference_affine(c);
       for (std::size_t b = 0; b < n; ++b) {
         const std::size_t base = (b * channels_ + c) * plane;
         for (std::size_t i = 0; i < plane; ++i)
-          yd[base + i] = g * (xd[base + i] - mean) * istd + bta;
+          yd[base + i] = a.apply(xd[base + i]);
       }
     }
   }
   return y;
+}
+
+BatchNorm2d::Affine BatchNorm2d::inference_affine(std::size_t c) const {
+  return {running_mean_[c], 1.0f / std::sqrt(running_var_[c] + eps_),
+          gamma_.value[c], beta_.value[c]};
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {

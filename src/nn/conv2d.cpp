@@ -9,29 +9,6 @@
 
 namespace omniboost::nn {
 
-namespace {
-
-/// Output-column range [lo, hi) for which ix = ox*stride + kx - pad lies in
-/// [0, w).
-void ox_bounds(std::size_t ow, std::size_t w, std::size_t stride,
-               std::ptrdiff_t off, std::size_t& lo, std::size_t& hi) {
-  // ox*stride + off in [0, w)  =>  ox in [ceil(-off/stride), (w-1-off)/stride]
-  std::ptrdiff_t lo_s = 0;
-  if (off < 0)
-    lo_s = (-off + static_cast<std::ptrdiff_t>(stride) - 1) /
-           static_cast<std::ptrdiff_t>(stride);
-  std::ptrdiff_t hi_s = -1;
-  if (static_cast<std::ptrdiff_t>(w) - 1 - off >= 0)
-    hi_s = (static_cast<std::ptrdiff_t>(w) - 1 - off) /
-           static_cast<std::ptrdiff_t>(stride);
-  lo = static_cast<std::size_t>(std::max<std::ptrdiff_t>(lo_s, 0));
-  hi = static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(hi_s + 1, static_cast<std::ptrdiff_t>(ow)));
-  if (hi < lo) hi = lo;
-}
-
-}  // namespace
-
 Conv2d::Conv2d(std::size_t in_ch, std::size_t out_ch, std::size_t kernel,
                std::size_t stride, std::size_t padding, bool bias)
     : in_ch_(in_ch),
@@ -61,21 +38,36 @@ void Conv2d::init(util::Rng& rng) {
   bias_.value.zero();
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
+Tensor Conv2d::output_for(const Tensor& x) {
   OB_REQUIRE(x.rank() == 4, "Conv2d: input must be NCHW");
   OB_REQUIRE(x.extent(1) == in_ch_, "Conv2d: channel mismatch");
-  input_ = x;
+  // Copy-assign, not a fresh copy: a training step reuses the buffer.
+  if (training())
+    input_ = x;
+  else
+    input_ = Tensor();
 
   const std::size_t h = x.extent(2), w = x.extent(3);
   OB_REQUIRE(h + 2 * padding_ >= kernel_ && w + 2 * padding_ >= kernel_,
              "Conv2d: input smaller than kernel");
   const std::size_t oh = (h + 2 * padding_ - kernel_) / stride_ + 1;
   const std::size_t ow = (w + 2 * padding_ - kernel_) / stride_ + 1;
-  Tensor y({x.extent(0), out_ch_, oh, ow});
+  return Tensor({x.extent(0), out_ch_, oh, ow});
+}
 
+Tensor Conv2d::forward(const Tensor& x) {
+  Tensor y = output_for(x);
   return kernel_kind_ == KernelKind::kReference
              ? forward_reference(x, std::move(y))
-             : forward_gemm(x, std::move(y));
+             : forward_gemm(x, std::move(y), nullptr);
+}
+
+Tensor Conv2d::forward_bn_gelu(const Tensor& x, const BatchNorm2d& bn) {
+  OB_REQUIRE(kernel_kind_ != KernelKind::kReference && !training() &&
+                 !bn.training(),
+             "Conv2d::forward_bn_gelu: inference under kGemm/kSimd only");
+  OB_REQUIRE(bn.channels() == out_ch_, "BatchNorm2d: channel mismatch");
+  return forward_gemm(x, output_for(x), &bn);
 }
 
 // The bit-frozen paper path: weight-stationary nested loops, unchanged from
@@ -111,7 +103,7 @@ Tensor Conv2d::forward_reference(const Tensor& x, Tensor y) const {
           const auto off_x = static_cast<std::ptrdiff_t>(kx) -
                              static_cast<std::ptrdiff_t>(padding_);
           std::size_t lo, hi;
-          ox_bounds(ow, w, stride_, off_x, lo, hi);
+          tensor::conv_tap_range(ow, w, stride_, off_x, lo, hi);
           for (std::size_t b = 0; b < n; ++b) {
             const float* xplane = xd + (b * in_ch_ + ic) * h * w;
             float* yplane = yd + (b * out_ch_ + oc) * oh * ow;
@@ -147,55 +139,49 @@ Tensor Conv2d::forward_reference(const Tensor& x, Tensor y) const {
 // column matrix cols (K x n*P), K = in_ch*k*k and P = oh*ow, with sample b
 // owning columns [b*P, (b+1)*P). A single GEMM against the weight matrix
 // then serves the entire batch — the blocked kernel amortizes its packing
-// over the full expansion wave — and the (out_ch x n*P) product is
-// scattered back to NCHW with the bias folded into the scatter.
-Tensor Conv2d::forward_gemm(const Tensor& x, Tensor y) const {
+// over the full expansion wave. Its (out_ch x n*P) product is laid out as
+// NCHW only when n == 1, so there the GEMM writes y itself; otherwise it
+// writes scratch. One per-channel epilogue then moves each product row into
+// y with the bias added (in place at n == 1) — or, for a fused block, with
+// bn's inference transform and the GELU applied as well.
+Tensor Conv2d::forward_gemm(const Tensor& x, Tensor y,
+                            const BatchNorm2d* bn) const {
   const std::size_t n = x.extent(0), h = x.extent(2), w = x.extent(3);
-  const std::size_t oh = y.extent(2), ow = y.extent(3);
   const std::size_t patch = in_ch_ * kernel_ * kernel_;  // GEMM K
-  const std::size_t pixels = oh * ow;                    // per-sample columns
+  const std::size_t pixels = y.extent(2) * y.extent(3);  // per-sample columns
   const std::size_t width = n * pixels;                  // GEMM N
-  const bool identity_cols =
-      kernel_ == 1 && stride_ == 1 && padding_ == 0;
 
   // Reused scratch. thread_local, not members: layer instances are single-
   // threaded by the module contract, but pool workers run their own layer
   // clones concurrently and must not share buffers.
   static thread_local std::vector<float> cols;
-  static thread_local std::vector<float> sample_cols;
   static thread_local std::vector<float> product;
   cols.resize(patch * width);
-  product.resize(out_ch_ * width);
+  for (std::size_t b = 0; b < n; ++b)
+    tensor::im2col(x.data() + b * in_ch_ * h * w, in_ch_, h, w, kernel_,
+                   stride_, padding_, cols.data() + b * pixels, width);
 
-  for (std::size_t b = 0; b < n; ++b) {
-    const float* xplane = x.data() + b * in_ch_ * h * w;
-    const float* block = xplane;  // 1x1 fast path: the plane is the block
-    if (!identity_cols) {
-      sample_cols.resize(patch * pixels);
-      tensor::im2col(xplane, in_ch_, h, w, kernel_, stride_, padding_,
-                     sample_cols.data());
-      block = sample_cols.data();
-    }
-    // Interleave the (K x P) sample block into the batch-wide matrix.
-    for (std::size_t row = 0; row < patch; ++row)
-      std::copy(block + row * pixels, block + (row + 1) * pixels,
-                cols.data() + row * width + b * pixels);
+  float* out = y.data();
+  if (n > 1) {
+    product.resize(out_ch_ * width);
+    out = product.data();
   }
-
   detail::dispatch_gemm(kernel_kind_, false, false, out_ch_, width, patch,
                         1.0f, weight_.value.data(), patch, cols.data(), width,
-                        0.0f, product.data(), width);
+                        0.0f, out, width);
 
-  // Scatter (out_ch x n*P) -> (n, out_ch, P), bias folded in.
   for (std::size_t b = 0; b < n; ++b) {
-    float* yplane = y.data() + b * out_ch_ * pixels;
     for (std::size_t oc = 0; oc < out_ch_; ++oc) {
-      const float* src = product.data() + oc * width + b * pixels;
-      float* dst = yplane + oc * pixels;
-      if (has_bias_) {
+      const float* src = out + oc * width + b * pixels;
+      float* dst = y.data() + (b * out_ch_ + oc) * pixels;
+      if (bn != nullptr) {
+        detail::bias_bn_gelu(src, dst, pixels,
+                             has_bias_ ? bias_.value.data() + oc : nullptr,
+                             bn->inference_affine(oc));
+      } else if (has_bias_) {
         const float bias = bias_.value[oc];
         for (std::size_t i = 0; i < pixels; ++i) dst[i] = src[i] + bias;
-      } else {
+      } else if (src != dst) {
         std::copy(src, src + pixels, dst);
       }
     }
@@ -245,7 +231,7 @@ Tensor Conv2d::backward_reference(const Tensor& grad_out) {
             const auto off_x = static_cast<std::ptrdiff_t>(kx) -
                                static_cast<std::ptrdiff_t>(padding_);
             std::size_t lo, hi;
-            ox_bounds(ow, w, stride_, off_x, lo, hi);
+            tensor::conv_tap_range(ow, w, stride_, off_x, lo, hi);
             float gw_acc = 0.0f;
             for (std::size_t oy = 0; oy < oh; ++oy) {
               const std::ptrdiff_t iy =
@@ -321,7 +307,7 @@ Tensor Conv2d::backward_gemm(const Tensor& grad_out) {
     const float* colp = xplane;
     if (!identity_cols) {
       tensor::im2col(xplane, in_ch_, h, w, kernel_, stride_, padding_,
-                     cols.data());
+                     cols.data(), pixels);
       colp = cols.data();
     }
     detail::dispatch_gemm(kernel_kind_, false, true, out_ch_, patch, pixels,

@@ -11,6 +11,8 @@
 
 namespace omniboost::nn {
 
+class BatchNorm2d;
+
 /// 2-D convolution (square kernel, symmetric zero padding, no dilation).
 class Conv2d final : public Module {
  public:
@@ -31,12 +33,23 @@ class Conv2d final : public Module {
   KernelKind kernel_kind() const { return kernel_kind_; }
   std::string name() const override { return "Conv2d"; }
 
+  /// The inference block this -> bn -> GELU in one pass, for a non-
+  /// reference kernel in inference mode: the GEMM epilogue adds the bias,
+  /// applies bn's running-statistics transform and the rational-tanh GELU
+  /// (the kGemm/kSimd one). Bit-identical to forward(), bn.forward() and
+  /// GELU::forward() in turn; Sequential::forward takes it for every such
+  /// run of layers.
+  Tensor forward_bn_gelu(const Tensor& x, const BatchNorm2d& bn);
+
   std::size_t in_channels() const { return in_ch_; }
   std::size_t out_channels() const { return out_ch_; }
 
  private:
+  /// Validates x, caches it in training mode and returns the output tensor.
+  Tensor output_for(const Tensor& x);
   Tensor forward_reference(const Tensor& x, Tensor y) const;
-  Tensor forward_gemm(const Tensor& x, Tensor y) const;
+  /// bn == nullptr: plain conv; otherwise the fused block.
+  Tensor forward_gemm(const Tensor& x, Tensor y, const BatchNorm2d* bn) const;
   Tensor backward_reference(const Tensor& grad_out);
   Tensor backward_gemm(const Tensor& grad_out);
 
@@ -46,7 +59,7 @@ class Conv2d final : public Module {
   KernelKind kernel_kind_ = default_kernel();
   Param weight_;  ///< (out_ch, in_ch, k, k)
   Param bias_;    ///< (out_ch)
-  Tensor input_;  ///< cached forward input
+  Tensor input_;  ///< cached forward input (training mode only)
 };
 
 /// Fully-connected layer on (N, in_features) tensors.
@@ -69,7 +82,7 @@ class Linear final : public Module {
   KernelKind kernel_kind_ = default_kernel();
   Param weight_;  ///< (out_features, in_features)
   Param bias_;    ///< (out_features)
-  Tensor input_;
+  Tensor input_;  ///< cached forward input (training mode only)
 };
 
 /// Per-channel batch normalization over (N, H, W) with running statistics.
@@ -87,6 +100,17 @@ class BatchNorm2d final : public Module {
   void init(util::Rng& rng) override;  ///< gamma=1, beta=0, reset running stats
   std::string name() const override { return "BatchNorm2d"; }
 
+  std::size_t channels() const { return channels_; }
+
+  /// One channel's inference transform from the running statistics. apply()
+  /// is the one expression both the inference forward and the fused conv
+  /// epilogue (Conv2d::forward_bn_gelu) evaluate.
+  struct Affine {
+    float mean, istd, gamma, beta;
+    float apply(float x) const { return gamma * (x - mean) * istd + beta; }
+  };
+  Affine inference_affine(std::size_t c) const;
+
  private:
   std::size_t channels_;
   float eps_, momentum_;
@@ -100,10 +124,12 @@ class BatchNorm2d final : public Module {
 /// Gaussian Error Linear Unit (tanh approximation), the paper's activation.
 ///
 /// Training-mode forward and backward always use the exact scalar
-/// value()/derivative(), whatever the kernel kind. Inference under kGemm or
-/// kSimd evaluates tanh with a vectorized rational approximation, within
-/// 1e-6 * max(1, |x|) of value(); kReference inference stays on value()
-/// (docs/DETERMINISM.md D3). Inference keeps no backward cache.
+/// value()/derivative(), whatever the kernel kind; the training forward
+/// also evaluates derivative(), reusing value()'s tanh, and backward only
+/// scales by it. Inference under kGemm or kSimd evaluates tanh with a
+/// vectorized rational approximation, within 1e-6 * max(1, |x|) of value();
+/// kReference inference stays on value() (docs/DETERMINISM.md D3).
+/// Inference keeps no backward cache.
 class GELU final : public Module {
  public:
   Tensor forward(const Tensor& x) override;
@@ -120,7 +146,7 @@ class GELU final : public Module {
  private:
   /// Active inference lowering; captured from nn::default_kernel().
   KernelKind kernel_kind_ = default_kernel();
-  Tensor input_;  ///< cached forward input (training mode only)
+  Tensor slope_;  ///< derivative() per forward input (training mode only)
 };
 
 /// Rectified linear unit (used by the GELU-vs-ReLU ablation bench).
@@ -148,7 +174,8 @@ class MaxPool2d final : public Module {
  private:
   std::size_t kernel_, stride_;
   tensor::Shape in_shape_;
-  std::vector<std::size_t> argmax_;  ///< flat input index per output element
+  /// Flat input index per output element (training mode only).
+  std::vector<std::size_t> argmax_;
 };
 
 /// Global average pooling: (N,C,H,W) -> (N,C).

@@ -31,7 +31,10 @@ void Linear::init(util::Rng& rng) {
 Tensor Linear::forward(const Tensor& x) {
   OB_REQUIRE(x.rank() == 2, "Linear: input must be (N, F)");
   OB_REQUIRE(x.extent(1) == in_f_, "Linear: feature mismatch");
-  input_ = x;
+  if (training())
+    input_ = x;
+  else
+    input_ = Tensor();
 
   const std::size_t n = x.extent(0);
   Tensor y({n, out_f_});

@@ -1,8 +1,31 @@
 #include "nn/module.hpp"
 
+#include "nn/layers.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::nn {
+
+namespace {
+
+/// The Conv2d -> BatchNorm2d -> GELU run starting at layers[i] when
+/// Conv2d::forward_bn_gelu can serve it: all three in inference mode, conv
+/// and GELU on a non-reference kernel. Null otherwise.
+Conv2d* fusable_block(const std::vector<std::unique_ptr<Module>>& layers,
+                      std::size_t i) {
+  if (i + 2 >= layers.size()) return nullptr;
+  auto* conv = dynamic_cast<Conv2d*>(layers[i].get());
+  if (conv == nullptr || conv->training() ||
+      conv->kernel_kind() == KernelKind::kReference)
+    return nullptr;
+  const auto* bn = dynamic_cast<const BatchNorm2d*>(layers[i + 1].get());
+  const auto* gelu = dynamic_cast<const GELU*>(layers[i + 2].get());
+  if (bn == nullptr || bn->training() || gelu == nullptr ||
+      gelu->training() || gelu->kernel_kind() == KernelKind::kReference)
+    return nullptr;
+  return conv;
+}
+
+}  // namespace
 
 void Module::zero_grad() {
   for (Param* p : params()) p->grad.zero();
@@ -22,7 +45,15 @@ Sequential& Sequential::add(std::unique_ptr<Module> m) {
 
 Tensor Sequential::forward(const Tensor& x) {
   Tensor y = x;
-  for (auto& l : layers_) y = l->forward(y);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    if (Conv2d* conv = fusable_block(layers_, i)) {
+      y = conv->forward_bn_gelu(
+          y, static_cast<const BatchNorm2d&>(*layers_[i + 1]));
+      i += 2;
+    } else {
+      y = layers_[i]->forward(y);
+    }
+  }
   return y;
 }
 

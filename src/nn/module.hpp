@@ -13,11 +13,13 @@
 ///    bit-identical to N single-sample forwards. The estimator's
 ///    predict_batch relies on this contract; tests/estimator_batch_test.cpp
 ///    pins it.
-///  * forward() caches whatever backward() needs; backward(grad_out) returns
-///    grad w.r.t. the input and *accumulates* parameter gradients. These
-///    caches are per-layer-instance scratch — a module graph is cheap to run
-///    but NOT thread-safe to share; give each thread its own instance (the
-///    estimator-clone rule, docs/ARCHITECTURE.md).
+///  * A training-mode forward() caches whatever backward() needs (inference
+///    keeps no input copies, so backward must follow a training forward);
+///    backward(grad_out) returns grad w.r.t. the input and *accumulates*
+///    parameter gradients. These caches are per-layer-instance scratch — a
+///    module graph is cheap to run but NOT thread-safe to share; give each
+///    thread its own instance (the estimator-clone rule,
+///    docs/ARCHITECTURE.md).
 ///  * Parameter gradients are cleared explicitly via zero_grad().
 
 #include <cstddef>
@@ -50,7 +52,8 @@ class Module {
   Module& operator=(const Module&) = delete;
   virtual ~Module() = default;
 
-  /// Computes the layer output, caching activations needed by backward().
+  /// Computes the layer output; in training mode, also caches what
+  /// backward() needs.
   virtual Tensor forward(const Tensor& x) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter grads and returns dLoss/dInput.
@@ -91,7 +94,10 @@ class Module {
   bool training_ = true;
 };
 
-/// Ordered container running sub-modules front to back.
+/// Ordered container running sub-modules front to back. In inference, each
+/// Conv2d -> BatchNorm2d -> GELU run whose conv and GELU use a non-reference
+/// kernel runs as one Conv2d::forward_bn_gelu call, bit-identical to the
+/// three forwards in turn.
 class Sequential final : public Module {
  public:
   Sequential() = default;

@@ -19,7 +19,8 @@ Tensor MaxPool2d::forward(const Tensor& x) {
 
   in_shape_ = x.shape();
   Tensor y({n, c, oh, ow});
-  argmax_.assign(y.size(), 0);
+  const bool keep = training();
+  argmax_.assign(keep ? y.size() : 0, 0);
 
   const float* xd = x.data();
   float* yd = y.data();
@@ -43,7 +44,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
             }
           }
           yd[o] = best;
-          argmax_[o] = plane_base + best_off;
+          if (keep) argmax_[o] = plane_base + best_off;
         }
       }
     }

@@ -169,31 +169,36 @@ std::size_t conv_out_extent(std::size_t in, std::size_t kernel,
 
 void im2col(const float* img, std::size_t channels, std::size_t h,
             std::size_t w, std::size_t kernel, std::size_t stride,
-            std::size_t pad, float* cols) {
+            std::size_t pad, float* cols, std::size_t ldcols) {
   const std::size_t oh = conv_out_extent(h, kernel, stride, pad);
   const std::size_t ow = conv_out_extent(w, kernel, stride, pad);
+  OB_REQUIRE(ldcols >= oh * ow, "im2col: ldcols too small");
+  // With padding, each channel plane is first copied into the interior of a
+  // zero-bordered (h + 2*pad) x (w + 2*pad) scratch plane. Every tap of
+  // every output row then reads inside that plane, so the row copies below
+  // carry no bounds logic at all. thread_local like the GEMM packing
+  // scratch; the border is zeroed once per call and never written.
+  const std::size_t pw = w + 2 * pad;
+  static thread_local std::vector<float> padded;
+  if (pad > 0) padded.assign((h + 2 * pad) * pw, 0.0f);
   float* dst = cols;  // rows stream in (c, ky, kx) order
   for (std::size_t c = 0; c < channels; ++c) {
     const float* plane = img + c * h * w;
+    if (pad > 0) {
+      for (std::size_t y = 0; y < h; ++y)
+        std::copy(plane + y * w, plane + (y + 1) * w,
+                  padded.data() + (y + pad) * pw + pad);
+      plane = padded.data();
+    }
     for (std::size_t ky = 0; ky < kernel; ++ky) {
-      for (std::size_t kx = 0; kx < kernel; ++kx) {
+      for (std::size_t kx = 0; kx < kernel; ++kx, dst += ldcols) {
         for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            std::fill(dst, dst + ow, 0.0f);
-            dst += ow;
-            continue;
-          }
-          const float* row = plane + static_cast<std::size_t>(iy) * w;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            *dst++ = (ix < 0 || ix >= static_cast<std::ptrdiff_t>(w))
-                         ? 0.0f
-                         : row[static_cast<std::size_t>(ix)];
+          const float* in = plane + (oy * stride + ky) * pw + kx;
+          float* out = dst + oy * ow;
+          if (stride == 1) {
+            for (std::size_t ox = 0; ox < ow; ++ox) out[ox] = in[ox];
+          } else {
+            for (std::size_t ox = 0; ox < ow; ++ox) out[ox] = in[ox * stride];
           }
         }
       }
@@ -206,28 +211,30 @@ void col2im(const float* cols, std::size_t channels, std::size_t h,
             std::size_t pad, float* img) {
   const std::size_t oh = conv_out_extent(h, kernel, stride, pad);
   const std::size_t ow = conv_out_extent(w, kernel, stride, pad);
+  const auto spad = static_cast<std::ptrdiff_t>(pad);
   const float* src = cols;
+  // Per (c, ky, kx) row, only the tap's valid output rectangle
+  // [ylo, yhi) x [xlo, xhi) (conv_tap_range on each axis) lands inside the
+  // image, so the inner loop carries no bounds test. Every image element
+  // still adds its taps in (ky, kx, oy, ox) order, onto the caller's value,
+  // so the sums are those of a bounds-tested loop.
   for (std::size_t c = 0; c < channels; ++c) {
     float* plane = img + c * h * w;
     for (std::size_t ky = 0; ky < kernel; ++ky) {
-      for (std::size_t kx = 0; kx < kernel; ++kx) {
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-          const std::ptrdiff_t iy =
-              static_cast<std::ptrdiff_t>(oy * stride + ky) -
-              static_cast<std::ptrdiff_t>(pad);
-          if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h)) {
-            src += ow;
-            continue;
-          }
-          float* row = plane + static_cast<std::size_t>(iy) * w;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const std::ptrdiff_t ix =
-                static_cast<std::ptrdiff_t>(ox * stride + kx) -
-                static_cast<std::ptrdiff_t>(pad);
-            const float v = *src++;
-            if (ix >= 0 && ix < static_cast<std::ptrdiff_t>(w))
-              row[static_cast<std::size_t>(ix)] += v;
-          }
+      std::size_t ylo, yhi;
+      conv_tap_range(oh, h, stride, static_cast<std::ptrdiff_t>(ky) - spad,
+                     ylo, yhi);
+      for (std::size_t kx = 0; kx < kernel; ++kx, src += oh * ow) {
+        std::size_t xlo, xhi;
+        conv_tap_range(ow, w, stride, static_cast<std::ptrdiff_t>(kx) - spad,
+                       xlo, xhi);
+        if (xlo == xhi) continue;
+        const std::size_t x0 = xlo * stride + kx - pad;
+        for (std::size_t oy = ylo; oy < yhi; ++oy) {
+          float* row = plane + (oy * stride + ky - pad) * w + x0;
+          const float* in = src + oy * ow;
+          for (std::size_t ox = xlo; ox < xhi; ++ox)
+            row[(ox - xlo) * stride] += in[ox];
         }
       }
     }
@@ -241,7 +248,7 @@ Tensor im2col(const Tensor& img, std::size_t kernel, std::size_t stride,
   const std::size_t oh = conv_out_extent(h, kernel, stride, pad);
   const std::size_t ow = conv_out_extent(w, kernel, stride, pad);
   Tensor cols({c * kernel * kernel, oh * ow});
-  im2col(img.data(), c, h, w, kernel, stride, pad, cols.data());
+  im2col(img.data(), c, h, w, kernel, stride, pad, cols.data(), oh * ow);
   return cols;
 }
 

@@ -15,6 +15,7 @@
 /// (|delta| well under 1e-6 for the estimator's value ranges — pinned by
 /// tests/nn_kernel_test.cpp).
 
+#include <algorithm>
 #include <cstddef>
 
 #include "tensor/tensor.hpp"
@@ -40,14 +41,34 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 std::size_t conv_out_extent(std::size_t in, std::size_t kernel,
                             std::size_t stride, std::size_t pad);
 
+/// The output positions [lo, hi) along one convolution axis whose input
+/// position o*stride + off lies inside [0, in), for a tap at offset
+/// off = k - pad: the taps outside it read zero padding. out is the output
+/// extent; lo <= hi <= out.
+inline void conv_tap_range(std::size_t out, std::size_t in,
+                           std::size_t stride, std::ptrdiff_t off,
+                           std::size_t& lo, std::size_t& hi) {
+  const auto s = static_cast<std::ptrdiff_t>(stride);
+  // o*stride + off in [0, in)  =>  o in [ceil(-off/stride), (in-1-off)/stride]
+  const std::ptrdiff_t lo_s = off < 0 ? (-off + s - 1) / s : 0;
+  const std::ptrdiff_t last = static_cast<std::ptrdiff_t>(in) - 1 - off;
+  const std::ptrdiff_t hi_s = last >= 0 ? last / s + 1 : 0;
+  const auto o = static_cast<std::ptrdiff_t>(out);
+  const std::ptrdiff_t l = std::min(lo_s, o);
+  lo = static_cast<std::size_t>(l);
+  hi = static_cast<std::size_t>(std::max(std::min(hi_s, o), l));
+}
+
 /// Lowers one image (channels x h x w, row-major) into the column matrix
-/// cols (channels*kernel*kernel x oh*ow): column p holds the receptive
-/// field of output pixel p, rows ordered (c, ky, kx) — the same order as
-/// Conv2d's (out_ch, in_ch, k, k) weight layout, so a convolution becomes
-/// Y = W_matrix * cols. Out-of-image taps (zero padding) become zeros.
+/// cols (channels*kernel*kernel rows, row stride ldcols >= oh*ow): column p
+/// holds the receptive field of output pixel p, rows ordered (c, ky, kx) —
+/// the same order as Conv2d's (out_ch, in_ch, k, k) weight layout, so a
+/// convolution becomes Y = W_matrix * cols. Out-of-image taps (zero
+/// padding) become zeros; columns past oh*ow are not touched, so a batch
+/// can lower sample b into columns [b*oh*ow, (b+1)*oh*ow) of one matrix.
 void im2col(const float* img, std::size_t channels, std::size_t h,
             std::size_t w, std::size_t kernel, std::size_t stride,
-            std::size_t pad, float* cols);
+            std::size_t pad, float* cols, std::size_t ldcols);
 
 /// Adjoint of im2col: scatters the column matrix back onto the image,
 /// *accumulating* overlapping taps (the gradient lowering used by

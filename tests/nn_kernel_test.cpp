@@ -361,6 +361,156 @@ TEST(GeluKernel, TrainingIsBitExactUnderEveryKind) {
   }
 }
 
+TEST(GeluKernel, TrainingBackwardIsTheScalarDerivativeBitForBit) {
+  // Backward reuses the training forward's tanh; the gradient must still be
+  // grad * derivative(x) exactly, including where derivative() rounds its
+  // tanh argument differently from value().
+  const std::vector<float> xs = gelu_probe_inputs();
+  util::Rng rng(43);
+  const Tensor g = random_tensor({xs.size()}, rng);
+  Tensor want(g.shape());
+  for (std::size_t i = 0; i < xs.size(); ++i)
+    want[i] = g[i] * nn::GELU::derivative(xs[i]);
+  for (const KernelKind kind :
+       {KernelKind::kReference, KernelKind::kGemm, KernelKind::kSimd}) {
+    nn::GELU gelu;
+    gelu.set_kernel(kind);
+    gelu.forward(Tensor::from_vector(xs));
+    EXPECT_EQ(bit_mismatches(gelu.backward(g), want), 0u)
+        << nn::kernel_name(kind);
+  }
+}
+
+// --- fused Conv2d -> BatchNorm2d -> GELU blocks ------------------------------
+
+/// The estimator's stack (core/estimator.cpp, build_net) at its default
+/// widths, with every parameter random and non-trivial BatchNorm running
+/// statistics. bodies maps each Residual to its body, so the layered
+/// reference below can walk inside it.
+struct FusionNet {
+  std::unique_ptr<nn::Sequential> net;
+  std::vector<std::pair<const nn::Module*, nn::Sequential*>> bodies;
+};
+
+FusionNet estimator_shaped_net(KernelKind kind, util::Rng& rng) {
+  FusionNet f;
+  f.net = std::make_unique<nn::Sequential>();
+  const auto block = [](nn::Sequential& seq, std::size_t in, std::size_t out) {
+    seq.emplace<nn::Conv2d>(in, out, 3, 1, 1);
+    seq.emplace<nn::BatchNorm2d>(out);
+    seq.emplace<nn::GELU>();
+  };
+  const auto residual = [&](std::size_t ch) {
+    auto body = std::make_unique<nn::Sequential>();
+    block(*body, ch, ch);
+    block(*body, ch, ch);
+    nn::Sequential* raw = body.get();
+    f.net->emplace<nn::Residual>(std::move(body));
+    f.bodies.emplace_back(&f.net->layer(f.net->size() - 1), raw);
+  };
+  block(*f.net, 3, 8);
+  f.net->emplace<nn::MaxPool2d>(2);
+  block(*f.net, 8, 16);
+  f.net->emplace<nn::MaxPool2d>(2);
+  residual(16);
+  block(*f.net, 16, 24);
+  residual(24);
+  f.net->emplace<nn::GlobalAvgPool>();
+  f.net->emplace<nn::Linear>(24, 3);
+
+  for (nn::Param* p : f.net->params())
+    for (std::size_t i = 0; i < p->value.size(); ++i)
+      p->value[i] = static_cast<float>(rng.normal(0.0, 0.5));
+  const std::vector<Tensor*> stats = f.net->buffers();  // (mean, var) pairs
+  for (std::size_t b = 0; b < stats.size(); ++b)
+    for (std::size_t i = 0; i < stats[b]->size(); ++i)
+      (*stats[b])[i] = static_cast<float>(
+          b % 2 == 0 ? rng.normal(0.0, 0.5) : rng.uniform(0.2, 2.0));
+  f.net->set_kernel(kind);
+  f.net->set_training(false);
+  return f;
+}
+
+/// seq's forward one layer at a time (layer(i).forward in turn), walking
+/// into Residual bodies, so no block runs fused.
+Tensor forward_layered(nn::Sequential& seq, Tensor y, const FusionNet& f) {
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    nn::Module& layer = seq.layer(i);
+    const auto body = std::find_if(
+        f.bodies.begin(), f.bodies.end(),
+        [&](const auto& entry) { return entry.first == &layer; });
+    if (body == f.bodies.end()) {
+      y = layer.forward(y);
+    } else {
+      Tensor out = forward_layered(*body->second, y, f);
+      out += y;
+      y = std::move(out);
+    }
+  }
+  return y;
+}
+
+TEST(FusedConvBlock, SequentialForwardIsTheLayeredForwardBitForBit) {
+  for (const KernelKind kind : {KernelKind::kGemm, KernelKind::kSimd}) {
+    util::Rng rng(47);
+    FusionNet f = estimator_shaped_net(kind, rng);
+    for (const std::size_t batch : {1u, 3u}) {
+      const Tensor x = random_tensor({batch, 3, 11, 37}, rng);
+      const Tensor fused = f.net->forward(x);
+      EXPECT_EQ(bit_mismatches(fused, forward_layered(*f.net, x, f)), 0u)
+          << nn::kernel_name(kind) << " batch " << batch;
+    }
+  }
+}
+
+TEST(FusedConvBlock, OneBlockMatchesItsLayersWithAndWithoutBias) {
+  // Strided and padded, with and without a conv bias, one channel and many.
+  util::Rng rng(53);
+  for (const KernelKind kind : {KernelKind::kGemm, KernelKind::kSimd}) {
+    for (const bool bias : {true, false}) {
+      nn::Conv2d conv(2, 5, 3, 2, 1, bias);
+      nn::BatchNorm2d bn(5);
+      nn::GELU gelu;
+      for (nn::Module* m : std::initializer_list<nn::Module*>{&conv, &bn})
+        for (nn::Param* p : m->params())
+          for (std::size_t i = 0; i < p->value.size(); ++i)
+            p->value[i] = static_cast<float>(rng.normal());
+      for (nn::Tensor* t : bn.buffers())
+        for (std::size_t i = 0; i < t->size(); ++i)
+          (*t)[i] = static_cast<float>(rng.uniform(0.3, 1.5));
+      for (nn::Module* m :
+           std::initializer_list<nn::Module*>{&conv, &bn, &gelu}) {
+        m->set_kernel(kind);
+        m->set_training(false);
+      }
+      for (const std::size_t batch : {1u, 4u}) {
+        const Tensor x = random_tensor({batch, 2, 7, 6}, rng);
+        const Tensor want = gelu.forward(bn.forward(conv.forward(x)));
+        EXPECT_EQ(bit_mismatches(conv.forward_bn_gelu(x, bn), want), 0u)
+            << nn::kernel_name(kind) << " bias " << bias << " batch "
+            << batch;
+      }
+    }
+  }
+}
+
+TEST(FusedConvBlock, OnlyInferenceOnANonReferenceKernelFuses) {
+  nn::Conv2d conv(2, 4, 3, 1, 1);
+  nn::BatchNorm2d bn(4), wrong(3);
+  const Tensor x({1, 2, 4, 4}, 0.5f);
+  conv.set_training(false);
+  EXPECT_THROW(conv.forward_bn_gelu(x, wrong), std::invalid_argument);
+  conv.set_kernel(KernelKind::kReference);
+  EXPECT_THROW(conv.forward_bn_gelu(x, bn), std::invalid_argument);
+  conv.set_kernel(KernelKind::kGemm);
+  // bn is still in training mode.
+  EXPECT_THROW(conv.forward_bn_gelu(x, bn), std::invalid_argument);
+  bn.set_training(false);
+  EXPECT_NO_THROW(conv.forward_bn_gelu(x, bn));
+  conv.set_training(true);
+  EXPECT_THROW(conv.forward_bn_gelu(x, bn), std::invalid_argument);
+}
+
 // --- end-to-end estimator parity ---------------------------------------------
 
 class EstimatorKernelParity : public ::testing::Test {

@@ -201,19 +201,29 @@ TEST(Activations, BackwardAfterAnEvalForwardFailsTheForwardCheck) {
   // Inference keeps no backward cache, and an eval forward drops the one a
   // training forward left: backward then fails the "backward before
   // forward" precondition instead of differentiating a stale input.
-  const Tensor x = Tensor::from_vector({-1.0f, 0.5f, 2.0f});
-  const Tensor g = Tensor::from_vector({1.0f, 1.0f, 1.0f});
+  const Tensor v = Tensor::from_vector({-1.0f, 0.5f, 2.0f});
+  const Tensor nchw = Tensor::from_data({1, 1, 2, 2}, {1, -2, 3, 0.5f});
+  const Tensor row = Tensor::from_data({1, 2}, {0.5f, -1});
   GELU gelu;
   ReLU relu;
-  for (Module* m : std::vector<Module*>{&gelu, &relu}) {
-    m->set_training(true);
-    m->forward(x);
-    EXPECT_NO_THROW(m->backward(g)) << m->name();
-    m->set_training(false);
-    m->forward(x);
+  Conv2d conv(1, 2, 3, 1, 1);
+  Linear linear(2, 3);
+  MaxPool2d pool(2);
+  const struct {
+    Module* m;
+    const Tensor& x;
+  } cases[] = {{&gelu, v}, {&relu, v}, {&conv, nchw}, {&linear, row},
+               {&pool, nchw}};
+  for (const auto& c : cases) {
+    Module& m = *c.m;
+    m.set_training(true);
+    const Tensor g(m.forward(c.x).shape(), 1.0f);
+    EXPECT_NO_THROW(m.backward(g)) << m.name();
+    m.set_training(false);
+    m.forward(c.x);
     try {
-      m->backward(g);
-      ADD_FAILURE() << m->name() << "::backward after an eval forward";
+      m.backward(g);
+      ADD_FAILURE() << m.name() << "::backward after an eval forward";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find("backward before forward"),
                 std::string::npos)

@@ -348,7 +348,12 @@ INSTANTIATE_TEST_SUITE_P(
                       Im2colCase{2, 4, 9, 3, 3, 1},   // stride 3
                       Im2colCase{4, 5, 5, 2, 2, 0},   // even kernel
                       Im2colCase{1, 1, 1, 1, 1, 0},   // degenerate pixel
-                      Im2colCase{2, 3, 8, 3, 1, 2})); // pad > kernel/2
+                      Im2colCase{2, 3, 8, 3, 1, 2},   // pad > kernel/2
+                      Im2colCase{2, 6, 7, 3, 2, 1},   // first valid col 1
+                      // The estimator's conv shapes: stem, stage 2, deep.
+                      Im2colCase{3, 11, 37, 3, 1, 1},
+                      Im2colCase{8, 5, 18, 3, 1, 1},
+                      Im2colCase{24, 2, 9, 3, 1, 1}));
 
 TEST(Im2col, IdentityFor1x1) {
   omniboost::util::Rng rng(3);
@@ -374,6 +379,72 @@ TEST_P(Im2colSweep, Col2imIsTheExactAdjoint) {
   for (std::size_t i = 0; i < x.size(); ++i)
     rhs += static_cast<double>(x[i]) * back[i];
   EXPECT_NEAR(lhs, rhs, 1e-2 * std::max(1.0, std::fabs(lhs)));
+}
+
+/// col2im as the bounds-tested loop: every tap of every column in (c, ky,
+/// kx, oy, ox) order, added where it lands inside the image.
+Tensor naive_col2im(const Tensor& cols, std::size_t c, std::size_t h,
+                    std::size_t w, std::size_t kernel, std::size_t stride,
+                    std::size_t pad) {
+  const std::size_t oh = conv_out_extent(h, kernel, stride, pad);
+  const std::size_t ow = conv_out_extent(w, kernel, stride, pad);
+  Tensor img({c, h, w});
+  for (std::size_t ch = 0; ch < c; ++ch)
+    for (std::size_t ky = 0; ky < kernel; ++ky)
+      for (std::size_t kx = 0; kx < kernel; ++kx)
+        for (std::size_t oy = 0; oy < oh; ++oy)
+          for (std::size_t ox = 0; ox < ow; ++ox) {
+            const std::ptrdiff_t iy =
+                static_cast<std::ptrdiff_t>(oy * stride + ky) -
+                static_cast<std::ptrdiff_t>(pad);
+            const std::ptrdiff_t ix =
+                static_cast<std::ptrdiff_t>(ox * stride + kx) -
+                static_cast<std::ptrdiff_t>(pad);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(h) || ix < 0 ||
+                ix >= static_cast<std::ptrdiff_t>(w))
+              continue;
+            img.at({ch, static_cast<std::size_t>(iy),
+                    static_cast<std::size_t>(ix)}) +=
+                cols.at({(ch * kernel + ky) * kernel + kx, oy * ow + ox});
+          }
+  return img;
+}
+
+TEST_P(Im2colSweep, Col2imRoundTripIsExact) {
+  // col2im(im2col(x)) and col2im of random columns against the naive fold:
+  // each image element sums its taps in the same order, so the float sums
+  // must match bit for bit, not merely within rounding.
+  const Im2colCase t = GetParam();
+  omniboost::util::Rng rng(t.c * 5 + t.h + t.w * 13);
+  const Tensor x = random_tensor({t.c, t.h, t.w}, rng);
+  const Tensor cols = im2col(x, t.kernel, t.stride, t.pad);
+  EXPECT_EQ(col2im(cols, t.c, t.h, t.w, t.kernel, t.stride, t.pad),
+            naive_col2im(cols, t.c, t.h, t.w, t.kernel, t.stride, t.pad));
+  const Tensor y = random_tensor(cols.shape(), rng);
+  EXPECT_EQ(col2im(y, t.c, t.h, t.w, t.kernel, t.stride, t.pad),
+            naive_col2im(y, t.c, t.h, t.w, t.kernel, t.stride, t.pad));
+}
+
+TEST(Im2col, RowStrideLowersIntoABatchMatrix) {
+  // Two samples lowered side by side into one matrix with row stride 2*P:
+  // each fills its own P columns of every row and leaves the other's alone.
+  omniboost::util::Rng rng(29);
+  const std::size_t c = 2, h = 5, w = 6, k = 3, stride = 1, pad = 1;
+  const Tensor a = random_tensor({c, h, w}, rng);
+  const Tensor b = random_tensor({c, h, w}, rng);
+  const Tensor ca = im2col(a, k, stride, pad);
+  const Tensor cb = im2col(b, k, stride, pad);
+  const std::size_t rows = ca.extent(0), p = ca.extent(1);
+  std::vector<float> batch(rows * 2 * p, -7.0f);
+  im2col(a.data(), c, h, w, k, stride, pad, batch.data(), 2 * p);
+  im2col(b.data(), c, h, w, k, stride, pad, batch.data() + p, 2 * p);
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t j = 0; j < p; ++j) {
+      EXPECT_EQ(batch[r * 2 * p + j], ca.at({r, j}));
+      EXPECT_EQ(batch[r * 2 * p + p + j], cb.at({r, j}));
+    }
+  EXPECT_THROW(im2col(a.data(), c, h, w, k, stride, pad, batch.data(), p - 1),
+               std::invalid_argument);
 }
 
 TEST(Im2col, RejectsBadShapes) {
