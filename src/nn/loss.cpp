@@ -40,31 +40,4 @@ LossResult MSELoss::compute(const tensor::Tensor& pred,
   return r;
 }
 
-HuberLoss::HuberLoss(float delta) : delta_(delta) {
-  OB_REQUIRE(delta > 0.0f, "HuberLoss: delta must be positive");
-}
-
-LossResult HuberLoss::compute(const tensor::Tensor& pred,
-                              const tensor::Tensor& target) const {
-  OB_REQUIRE(pred.shape() == target.shape(), "HuberLoss: shape mismatch");
-  OB_REQUIRE(!pred.empty(), "HuberLoss: empty input");
-  LossResult r;
-  r.grad = tensor::Tensor(pred.shape());
-  const float inv = 1.0f / static_cast<float>(pred.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    const float d = pred[i] - target[i];
-    const float ad = std::fabs(d);
-    if (ad <= delta_) {
-      acc += 0.5 * static_cast<double>(d) * d;
-      r.grad[i] = d * inv;
-    } else {
-      acc += static_cast<double>(delta_) * (ad - 0.5 * delta_);
-      r.grad[i] = (d > 0.0f ? delta_ : -delta_) * inv;
-    }
-  }
-  r.value = static_cast<float>(acc * inv);
-  return r;
-}
-
 }  // namespace omniboost::nn

@@ -41,20 +41,4 @@ class MSELoss final : public Loss {
                      const tensor::Tensor& target) const override;
 };
 
-/// Huber / smooth-L1: quadratic within |d| <= delta, linear outside.
-/// Interpolates between the paper's L1 choice and the "too aggressive" L2 —
-/// the training ablation sweeps delta to chart that trade-off.
-class HuberLoss final : public Loss {
- public:
-  explicit HuberLoss(float delta = 1.0f);
-
-  LossResult compute(const tensor::Tensor& pred,
-                     const tensor::Tensor& target) const override;
-
-  float delta() const { return delta_; }
-
- private:
-  float delta_;
-};
-
 }  // namespace omniboost::nn

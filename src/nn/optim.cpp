@@ -80,27 +80,4 @@ void Adam::step() {
   }
 }
 
-RMSprop::RMSprop(std::vector<Param*> params, float lr, float alpha, float eps,
-                 float weight_decay)
-    : Optimizer(std::move(params), lr),
-      alpha_(alpha),
-      eps_(eps),
-      weight_decay_(weight_decay) {
-  OB_REQUIRE(alpha > 0.0f && alpha < 1.0f, "RMSprop: alpha must be in (0,1)");
-  sq_avg_.reserve(params_.size());
-  for (Param* p : params_) sq_avg_.emplace_back(p->value.shape());
-}
-
-void RMSprop::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Param& p = *params_[k];
-    tensor::Tensor& sq = sq_avg_[k];
-    for (std::size_t i = 0; i < p.value.size(); ++i) {
-      const float g = p.grad[i] + weight_decay_ * p.value[i];
-      sq[i] = alpha_ * sq[i] + (1.0f - alpha_) * g * g;
-      p.value[i] -= lr_ * g / (std::sqrt(sq[i]) + eps_);
-    }
-  }
-}
-
 }  // namespace omniboost::nn

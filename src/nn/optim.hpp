@@ -55,18 +55,4 @@ class Adam final : public Optimizer {
   std::vector<tensor::Tensor> m_, v_;
 };
 
-/// RMSprop (Tieleman & Hinton, 2012): gradient scaling by a running average
-/// of squared gradients. Provided as a training ablation point alongside
-/// SGD and Adam.
-class RMSprop final : public Optimizer {
- public:
-  RMSprop(std::vector<Param*> params, float lr = 1e-3f, float alpha = 0.99f,
-          float eps = 1e-8f, float weight_decay = 0.0f);
-  void step() override;
-
- private:
-  float alpha_, eps_, weight_decay_;
-  std::vector<tensor::Tensor> sq_avg_;
-};
-
 }  // namespace omniboost::nn

@@ -1,8 +1,7 @@
 #pragma once
 /// \file schedulers.hpp
-/// Learning-rate schedules driving Optimizer::set_lr between epochs.
-/// Schedules are pure functions of the epoch index, so they can be unit
-/// tested without running an optimizer and replayed deterministically.
+/// The learning-rate schedule hook: train_regression asks
+/// TrainConfig::lr_schedule for the rate of each epoch before running it.
 
 #include <cstddef>
 
@@ -21,40 +20,6 @@ class LrScheduler {
   void apply(Optimizer& opt, std::size_t epoch) const {
     opt.set_lr(lr_at(epoch));
   }
-};
-
-/// Constant schedule (the default trainer behaviour).
-class ConstantLr final : public LrScheduler {
- public:
-  explicit ConstantLr(float lr);
-  float lr_at(std::size_t epoch) const override;
-
- private:
-  float lr_;
-};
-
-/// Step decay: lr * gamma^(epoch / step_size).
-class StepLr final : public LrScheduler {
- public:
-  StepLr(float base_lr, std::size_t step_size, float gamma = 0.1f);
-  float lr_at(std::size_t epoch) const override;
-
- private:
-  float base_lr_, gamma_;
-  std::size_t step_size_;
-};
-
-/// Cosine annealing from base_lr to min_lr over max_epochs, with optional
-/// linear warm-up for the first warmup_epochs.
-class CosineLr final : public LrScheduler {
- public:
-  CosineLr(float base_lr, std::size_t max_epochs, float min_lr = 0.0f,
-           std::size_t warmup_epochs = 0);
-  float lr_at(std::size_t epoch) const override;
-
- private:
-  float base_lr_, min_lr_;
-  std::size_t max_epochs_, warmup_epochs_;
 };
 
 }  // namespace omniboost::nn

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "tensor/gemm_blocked.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::tensor {
@@ -16,139 +17,75 @@ namespace {
 constexpr std::size_t kMC = 64;   // rows of op(A) per block
 constexpr std::size_t kKC = 128;  // shared dimension per block
 constexpr std::size_t kNC = 256;  // cols of op(B) per block
-// Micro-tile: 4x8 keeps the accumulator block at 8 SSE registers (the
-// portable baseline this library is compiled for — no -march flags, so the
-// bit-frozen reference numerics cannot pick up FMA contraction), leaving
-// room for the B row and the A broadcast without spilling.
-constexpr std::size_t kMR = 4;    // micro-tile rows
-constexpr std::size_t kNR = 8;    // micro-tile cols
 
-/// Element (r, c) of op(X) where the stored matrix has row stride ld.
-inline float op_at(const float* x, std::size_t ld, bool trans, std::size_t r,
-                   std::size_t c) {
-  return trans ? x[c * ld + r] : x[r * ld + c];
-}
+/// 4x8 register tile: acc = sum_k apanel[k]*bpanel[k], then folded into C
+/// with alpha (and beta on the first k-block only). 4x8 keeps the
+/// accumulator block at 8 SSE registers (the portable baseline this library
+/// is compiled for — no -march flags, so the bit-frozen reference numerics
+/// cannot pick up FMA contraction), leaving room for the B row and the A
+/// broadcast without spilling. That margin is thin, so run() stays out of
+/// line: inlined into blocked_gemm, GCC 12 spilled accumulators inside the
+/// k-loop (cold_mix decisions 12% slower on a 4-vCPU x86-64 VM).
+struct ScalarTile {
+  static constexpr std::size_t kMR = 4;  // micro-tile rows
+  static constexpr std::size_t kNR = 8;  // micro-tile cols
 
-/// Packs op(A)[i0:i0+mc, k0:k0+kc] into kMR-row panels: panel p holds rows
-/// [p*kMR, p*kMR+kMR), laid out k-major (buf[k*kMR + i]) so the micro-kernel
-/// streams it contiguously. Rows past mc are zero-padded — zeros fall out of
-/// the multiply, keeping the kernel branch-free.
-void pack_a(const float* a, std::size_t lda, bool trans, std::size_t i0,
-            std::size_t k0, std::size_t mc, std::size_t kc, float* buf) {
-  for (std::size_t p = 0; p < mc; p += kMR) {
-    const std::size_t rows = std::min(kMR, mc - p);
+  [[gnu::noinline]] static void run(const float* apanel, const float* bpanel,
+                                    std::size_t kc, float alpha, float beta,
+                                    bool first_kblock, float* c,
+                                    std::size_t ldc, std::size_t rows,
+                                    std::size_t cols) {
+    float acc[kMR][kNR] = {};
     for (std::size_t k = 0; k < kc; ++k) {
+      const float* bk = bpanel + k * kNR;
+      const float* ak = apanel + k * kMR;
       for (std::size_t i = 0; i < kMR; ++i) {
-        *buf++ = i < rows ? op_at(a, lda, trans, i0 + p + i, k0 + k) : 0.0f;
+        const float av = ak[i];
+        for (std::size_t j = 0; j < kNR; ++j) acc[i][j] += av * bk[j];
       }
     }
+    fold_tile(acc, alpha, beta, first_kblock, c, ldc, rows, cols);
   }
-}
-
-/// Packs op(B)[k0:k0+kc, j0:j0+nc] into kNR-column panels (buf[k*kNR + j]),
-/// zero-padding columns past nc.
-void pack_b(const float* b, std::size_t ldb, bool trans, std::size_t k0,
-            std::size_t j0, std::size_t kc, std::size_t nc, float* buf) {
-  for (std::size_t p = 0; p < nc; p += kNR) {
-    const std::size_t cols = std::min(kNR, nc - p);
-    for (std::size_t k = 0; k < kc; ++k) {
-      for (std::size_t j = 0; j < kNR; ++j) {
-        *buf++ = j < cols ? op_at(b, ldb, trans, k0 + k, j0 + p + j) : 0.0f;
-      }
-    }
-  }
-}
-
-/// kMR x kNR register tile: acc = sum_k apanel[k]*bpanel[k], then folded
-/// into C with alpha (and beta on the first k-block only).
-void micro_kernel(const float* apanel, const float* bpanel, std::size_t kc,
-                  float alpha, float beta, bool first_kblock, float* c,
-                  std::size_t ldc, std::size_t rows, std::size_t cols) {
-  float acc[kMR][kNR] = {};
-  for (std::size_t k = 0; k < kc; ++k) {
-    const float* bk = bpanel + k * kNR;
-    const float* ak = apanel + k * kMR;
-    for (std::size_t i = 0; i < kMR; ++i) {
-      const float av = ak[i];
-      for (std::size_t j = 0; j < kNR; ++j) acc[i][j] += av * bk[j];
-    }
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    float* crow = c + i * ldc;
-    if (first_kblock) {
-      if (beta == 0.0f) {
-        for (std::size_t j = 0; j < cols; ++j) crow[j] = alpha * acc[i][j];
-      } else {
-        for (std::size_t j = 0; j < cols; ++j)
-          crow[j] = beta * crow[j] + alpha * acc[i][j];
-      }
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) crow[j] += alpha * acc[i][j];
-    }
-  }
-}
+};
 
 }  // namespace
 
-void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-          std::size_t k, float alpha, const float* a, std::size_t lda,
-          const float* b, std::size_t ldb, float beta, float* c,
-          std::size_t ldc) {
+namespace detail {
+
+bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                  std::size_t k, float alpha, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, float beta, float* c,
+                  std::size_t ldc) {
   OB_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
              "gemm: null operand");
   OB_REQUIRE(lda >= (trans_a ? m : k), "gemm: lda too small");
   OB_REQUIRE(ldb >= (trans_b ? k : n), "gemm: ldb too small");
   OB_REQUIRE(ldc >= n, "gemm: ldc too small");
-  if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == 0.0f) {
-    // Pure beta-scaling of C (and beta == 0 must overwrite, not multiply).
-    for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
-      if (beta == 0.0f) {
-        std::fill(crow, crow + n, 0.0f);
-      } else if (beta != 1.0f) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-      }
+  if (m == 0 || n == 0) return true;
+  if (k != 0 && alpha != 0.0f) return false;
+  // Pure beta-scaling of C (and beta == 0 must overwrite, not multiply).
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c + i * ldc;
+    if (beta == 0.0f) {
+      std::fill(crow, crow + n, 0.0f);
+    } else if (beta != 1.0f) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
     }
+  }
+  return true;
+}
+
+}  // namespace detail
+
+void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+          std::size_t k, float alpha, const float* a, std::size_t lda,
+          const float* b, std::size_t ldb, float beta, float* c,
+          std::size_t ldc) {
+  if (detail::gemm_trivial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+                           beta, c, ldc))
     return;
-  }
-
-  // Packing scratch, rounded up to whole micro-panels. Reused across calls
-  // (thread_local: kernels may run concurrently on pool workers); sized by
-  // the fixed block caps, so it stops growing after the first large call.
-  static thread_local std::vector<float> apack;
-  static thread_local std::vector<float> bpack;
-  apack.resize(((std::min(m, kMC) + kMR - 1) / kMR) * kMR *
-               std::min(k, kKC));
-  bpack.resize(((std::min(n, kNC) + kNR - 1) / kNR) * kNR *
-               std::min(k, kKC));
-
-  for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
-    const std::size_t nc = std::min(kNC, n - j0);
-    const std::size_t npanels = (nc + kNR - 1) / kNR;
-    for (std::size_t k0 = 0; k0 < k; k0 += kKC) {
-      const std::size_t kc = std::min(kKC, k - k0);
-      const bool first_kblock = k0 == 0;
-      pack_b(b, ldb, trans_b, k0, j0, kc, nc, bpack.data());
-      for (std::size_t i0 = 0; i0 < m; i0 += kMC) {
-        const std::size_t mc = std::min(kMC, m - i0);
-        const std::size_t mpanels = (mc + kMR - 1) / kMR;
-        pack_a(a, lda, trans_a, i0, k0, mc, kc, apack.data());
-        for (std::size_t pj = 0; pj < npanels; ++pj) {
-          const std::size_t j = pj * kNR;
-          const std::size_t cols = std::min(kNR, nc - j);
-          const float* bpanel = bpack.data() + pj * kc * kNR;
-          for (std::size_t pi = 0; pi < mpanels; ++pi) {
-            const std::size_t i = pi * kMR;
-            const std::size_t rows = std::min(kMR, mc - i);
-            micro_kernel(apack.data() + pi * kc * kMR, bpanel, kc, alpha,
-                         beta, first_kblock, c + (i0 + i) * ldc + j0 + j, ldc,
-                         rows, cols);
-          }
-        }
-      }
-    }
-  }
+  blocked_gemm<ScalarTile, kMC, kKC, kNC>(trans_a, trans_b, m, n, k, alpha, a,
+                                          lda, b, ldb, beta, c, ldc);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -5,7 +5,10 @@
 /// convolution into matrix multiplication (the classic Caffe-era CPU
 /// recipe). These primitives exist so nn::Conv2d / nn::Linear can route
 /// their forward AND backward passes through one tuned inner loop instead
-/// of per-layer nested loops (nn::KernelKind::kGemm).
+/// of per-layer nested loops (nn::KernelKind::kGemm). The blocked loop nest
+/// (packing, block loops, alpha/beta fold) is one copy, shared with the SIMD
+/// path (simd.hpp) through the internal gemm_blocked.hpp; each kernel keeps
+/// only its block sizes and its register micro-tile.
 ///
 /// Determinism contract: for a fixed problem shape the summation order of
 /// every output element is fixed (k is traversed block-by-block in
@@ -32,6 +35,20 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
           std::size_t k, float alpha, const float* a, std::size_t lda,
           const float* b, std::size_t ldb, float beta, float* c,
           std::size_t ldc);
+
+namespace detail {
+
+/// The argument checks and trivial cases of gemm() and gemm_simd(): throws
+/// on a null operand or a too-small stride, then returns true iff the call
+/// is already complete — m == 0 or n == 0 (no-op), or k == 0 or
+/// alpha == 0 (C scaled by beta; beta == 0 overwrites, NaN-safe). On false
+/// the caller runs its blocked GEMM.
+bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                  std::size_t k, float alpha, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, float beta, float* c,
+                  std::size_t ldc);
+
+}  // namespace detail
 
 /// Tensor-level matrix product: (m, k) x (k, n) -> (m, n).
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -6,17 +6,14 @@
 /// the runtime cpuid gate in simd.cpp — the compiler is free to use the ISA
 /// anywhere in this TU.
 ///
-/// Structure mirrors gemm.cpp's BLIS-style blocked driver exactly: pack
-/// op(A) into kMR-row k-major panels and op(B) into kNR-column panels, then
-/// sweep register micro-tiles over the packed blocks. Only the tile shape
-/// and the inner product change: 6x16 AVX2 FMA (12 accumulator ymm
-/// registers + 2 B loads + 1 A broadcast = 15 of 16) or 4x8 NEON FMA
-/// (8 accumulator q registers).
+/// The blocked GEMM (packing, block loops, edge fold) is the one gemm.cpp
+/// runs, shared through gemm_blocked.hpp, whose internal linkage keeps this
+/// TU's AVX2/FMA instantiations out of the portable path. This file keeps
+/// only its block sizes and its register micro-tile: 6x16 AVX2 FMA (12
+/// accumulator ymm registers + 2 B loads + 1 A broadcast = 15 of 16) or 4x8
+/// NEON FMA (8 accumulator q registers).
 
 #include "tensor/simd.hpp"
-
-#include <algorithm>
-#include <vector>
 
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__AVX2__) && \
     defined(__FMA__)
@@ -29,85 +26,42 @@
 #define OMNIBOOST_SIMD_ISA "neon"
 #endif
 
+#ifdef OMNIBOOST_SIMD_KERNELS
+#include "tensor/gemm_blocked.hpp"
+#endif
+
 namespace omniboost::tensor::detail {
 
 #ifdef OMNIBOOST_SIMD_KERNELS
 
 namespace {
 
-#ifdef __AVX2__
-constexpr std::size_t kMR = 6;    // micro-tile rows (one A broadcast each)
-constexpr std::size_t kNR = 16;   // micro-tile cols (two ymm lanes)
 constexpr std::size_t kMC = 96;   // rows of op(A) per block (multiple of kMR)
-#else
-constexpr std::size_t kMR = 4;    // micro-tile rows
-constexpr std::size_t kNR = 8;    // micro-tile cols (two q lanes)
-constexpr std::size_t kMC = 96;
-#endif
 constexpr std::size_t kKC = 256;  // shared dimension per block
 constexpr std::size_t kNC = 256;  // cols of op(B) per block (multiple of kNR)
 
-/// Element (r, c) of op(X) where the stored matrix has row stride ld.
-inline float op_at(const float* x, std::size_t ld, bool trans, std::size_t r,
-                   std::size_t c) {
-  return trans ? x[c * ld + r] : x[r * ld + c];
-}
-
-/// Packs op(A)[i0:i0+mc, k0:k0+kc] into kMR-row panels, k-major
-/// (buf[k*kMR + i]), zero-padding rows past mc — identical scheme to
-/// gemm.cpp's pack_a, at this TU's tile width.
-void pack_a(const float* a, std::size_t lda, bool trans, std::size_t i0,
-            std::size_t k0, std::size_t mc, std::size_t kc, float* buf) {
-  for (std::size_t p = 0; p < mc; p += kMR) {
-    const std::size_t rows = std::min(kMR, mc - p);
-    for (std::size_t k = 0; k < kc; ++k) {
-      for (std::size_t i = 0; i < kMR; ++i) {
-        *buf++ = i < rows ? op_at(a, lda, trans, i0 + p + i, k0 + k) : 0.0f;
-      }
-    }
-  }
-}
-
-/// Packs op(B)[k0:k0+kc, j0:j0+nc] into kNR-column panels (buf[k*kNR + j]),
-/// zero-padding columns past nc.
-void pack_b(const float* b, std::size_t ldb, bool trans, std::size_t k0,
-            std::size_t j0, std::size_t kc, std::size_t nc, float* buf) {
-  for (std::size_t p = 0; p < nc; p += kNR) {
-    const std::size_t cols = std::min(kNR, nc - p);
-    for (std::size_t k = 0; k < kc; ++k) {
-      for (std::size_t j = 0; j < kNR; ++j) {
-        *buf++ = j < cols ? op_at(b, ldb, trans, k0 + k, j0 + p + j) : 0.0f;
-      }
-    }
-  }
-}
-
-/// Scalar alpha/beta fold of a spilled partial tile (edge rows/columns).
-inline void fold_tile(const float (*tile)[kNR], float alpha, float beta,
-                      bool first_kblock, float* c, std::size_t ldc,
-                      std::size_t rows, std::size_t cols) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    float* crow = c + i * ldc;
-    if (first_kblock) {
-      if (beta == 0.0f) {
-        for (std::size_t j = 0; j < cols; ++j) crow[j] = alpha * tile[i][j];
-      } else {
-        for (std::size_t j = 0; j < cols; ++j)
-          crow[j] = beta * crow[j] + alpha * tile[i][j];
-      }
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) crow[j] += alpha * tile[i][j];
-    }
-  }
-}
+/// The register micro-tile blocked_gemm sweeps: full tiles fold in
+/// registers, edge tiles spill and fold through fold_tile.
+struct SimdTile {
+#ifdef __AVX2__
+  static constexpr std::size_t kMR = 6;   // rows (one A broadcast each)
+  static constexpr std::size_t kNR = 16;  // cols (two ymm lanes)
+#else
+  static constexpr std::size_t kMR = 4;  // rows
+  static constexpr std::size_t kNR = 8;  // cols (two q lanes)
+#endif
+  static void run(const float* apanel, const float* bpanel, std::size_t kc,
+                  float alpha, float beta, bool first_kblock, float* c,
+                  std::size_t ldc, std::size_t rows, std::size_t cols);
+};
 
 #ifdef __AVX2__
 
 /// 6x16 FMA micro-tile: acc = sum_k apanel[k] (broadcast) * bpanel[k] (two
 /// ymm loads), folded into C with alpha (and beta on the first k-block).
-void micro_kernel(const float* apanel, const float* bpanel, std::size_t kc,
-                  float alpha, float beta, bool first_kblock, float* c,
-                  std::size_t ldc, std::size_t rows, std::size_t cols) {
+void SimdTile::run(const float* apanel, const float* bpanel, std::size_t kc,
+                   float alpha, float beta, bool first_kblock, float* c,
+                   std::size_t ldc, std::size_t rows, std::size_t cols) {
   __m256 acc[kMR][2];
   for (std::size_t i = 0; i < kMR; ++i)
     acc[i][0] = acc[i][1] = _mm256_setzero_ps();
@@ -156,9 +110,9 @@ void micro_kernel(const float* apanel, const float* bpanel, std::size_t kc,
 #else  // NEON
 
 /// 4x8 FMA micro-tile (two q-register lanes per row).
-void micro_kernel(const float* apanel, const float* bpanel, std::size_t kc,
-                  float alpha, float beta, bool first_kblock, float* c,
-                  std::size_t ldc, std::size_t rows, std::size_t cols) {
+void SimdTile::run(const float* apanel, const float* bpanel, std::size_t kc,
+                   float alpha, float beta, bool first_kblock, float* c,
+                   std::size_t ldc, std::size_t rows, std::size_t cols) {
   float32x4_t acc[kMR][2];
   for (std::size_t i = 0; i < kMR; ++i)
     acc[i][0] = acc[i][1] = vdupq_n_f32(0.0f);
@@ -206,8 +160,6 @@ void micro_kernel(const float* apanel, const float* bpanel, std::size_t kc,
 
 }  // namespace
 
-bool simd_kernels_compiled() { return true; }
-
 const char* simd_kernel_isa() { return OMNIBOOST_SIMD_ISA; }
 
 void gemm_simd_kernel(bool trans_a, bool trans_b, std::size_t m,
@@ -215,46 +167,11 @@ void gemm_simd_kernel(bool trans_a, bool trans_b, std::size_t m,
                       const float* a, std::size_t lda, const float* b,
                       std::size_t ldb, float beta, float* c,
                       std::size_t ldc) {
-  // Packing scratch, rounded up to whole micro-panels (same reuse scheme as
-  // gemm.cpp: thread_local, sized by the fixed block caps).
-  static thread_local std::vector<float> apack;
-  static thread_local std::vector<float> bpack;
-  apack.resize(((std::min(m, kMC) + kMR - 1) / kMR) * kMR *
-               std::min(k, kKC));
-  bpack.resize(((std::min(n, kNC) + kNR - 1) / kNR) * kNR *
-               std::min(k, kKC));
-
-  for (std::size_t j0 = 0; j0 < n; j0 += kNC) {
-    const std::size_t nc = std::min(kNC, n - j0);
-    const std::size_t npanels = (nc + kNR - 1) / kNR;
-    for (std::size_t k0 = 0; k0 < k; k0 += kKC) {
-      const std::size_t kc = std::min(kKC, k - k0);
-      const bool first_kblock = k0 == 0;
-      pack_b(b, ldb, trans_b, k0, j0, kc, nc, bpack.data());
-      for (std::size_t i0 = 0; i0 < m; i0 += kMC) {
-        const std::size_t mc = std::min(kMC, m - i0);
-        const std::size_t mpanels = (mc + kMR - 1) / kMR;
-        pack_a(a, lda, trans_a, i0, k0, mc, kc, apack.data());
-        for (std::size_t pj = 0; pj < npanels; ++pj) {
-          const std::size_t j = pj * kNR;
-          const std::size_t cols = std::min(kNR, nc - j);
-          const float* bpanel = bpack.data() + pj * kc * kNR;
-          for (std::size_t pi = 0; pi < mpanels; ++pi) {
-            const std::size_t i = pi * kMR;
-            const std::size_t rows = std::min(kMR, mc - i);
-            micro_kernel(apack.data() + pi * kc * kMR, bpanel, kc, alpha,
-                         beta, first_kblock, c + (i0 + i) * ldc + j0 + j, ldc,
-                         rows, cols);
-          }
-        }
-      }
-    }
-  }
+  blocked_gemm<SimdTile, kMC, kKC, kNC>(trans_a, trans_b, m, n, k, alpha, a,
+                                        lda, b, ldb, beta, c, ldc);
 }
 
 #else  // !OMNIBOOST_SIMD_KERNELS — no ISA section on this target/compiler
-
-bool simd_kernels_compiled() { return false; }
 
 const char* simd_kernel_isa() { return "none"; }
 
@@ -262,7 +179,7 @@ void gemm_simd_kernel(bool, bool, std::size_t, std::size_t, std::size_t,
                       float, const float*, std::size_t, const float*,
                       std::size_t, float, float*, std::size_t) {
   // Unreachable: gemm_simd() routes to tensor::gemm when
-  // simd_kernels_compiled() is false.
+  // simd_kernel_isa() is "none".
 }
 
 #endif  // OMNIBOOST_SIMD_KERNELS

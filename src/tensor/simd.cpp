@@ -6,17 +6,16 @@
 
 #include "tensor/simd.hpp"
 
-#include <algorithm>
+#include <cstring>
 
 #include "tensor/gemm.hpp"
-#include "util/require.hpp"
 
 namespace omniboost::tensor {
 
 namespace {
 
 bool host_supports_simd() {
-  if (!detail::simd_kernels_compiled()) return false;
+  if (std::strcmp(detail::simd_kernel_isa(), "none") == 0) return false;
 #if defined(__x86_64__) || defined(__i386__)
 #if defined(__GNUC__) || defined(__clang__)
   // The kernels were compiled for AVX2+FMA; only enter them when the
@@ -54,24 +53,9 @@ void gemm_simd(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
     return;
   }
-  OB_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
-             "gemm_simd: null operand");
-  OB_REQUIRE(lda >= (trans_a ? m : k), "gemm_simd: lda too small");
-  OB_REQUIRE(ldb >= (trans_b ? k : n), "gemm_simd: ldb too small");
-  OB_REQUIRE(ldc >= n, "gemm_simd: ldc too small");
-  if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == 0.0f) {
-    // Pure beta-scaling of C (and beta == 0 must overwrite, not multiply).
-    for (std::size_t i = 0; i < m; ++i) {
-      float* crow = c + i * ldc;
-      if (beta == 0.0f) {
-        std::fill(crow, crow + n, 0.0f);
-      } else if (beta != 1.0f) {
-        for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-      }
-    }
+  if (detail::gemm_trivial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+                           beta, c, ldc))
     return;
-  }
   detail::gemm_simd_kernel(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
                            beta, c, ldc);
 }

@@ -1,12 +1,12 @@
 #pragma once
 /// \file simd.hpp
-/// Explicit-SIMD GEMM path (nn::KernelKind::kSimd): the same pack_a/pack_b
-/// panel scheme as tensor::gemm, driven by hand-written FMA micro-tiles —
-/// 6x16 AVX2 on x86-64, 4x8 NEON on aarch64 — instead of the portable
-/// scalar 4x8 micro-kernel. The library itself is still compiled without
-/// global -march flags: only the kernel translation unit (gemm_simd.cpp)
-/// gets per-source -mavx2 -mfma, and gemm_simd() selects it at runtime via
-/// cpuid, so one binary runs correctly on any host.
+/// Explicit-SIMD GEMM path (nn::KernelKind::kSimd): tensor::gemm's blocked
+/// loop nest (one copy, gemm_blocked.hpp) with its own block sizes and a
+/// hand-written FMA micro-tile — 6x16 AVX2 on x86-64, 4x8 NEON on aarch64 —
+/// instead of the portable scalar 4x8 micro-tile. The library itself is
+/// still compiled without global -march flags: only the kernel translation
+/// unit (gemm_simd.cpp) gets per-source -mavx2 -mfma, and gemm_simd()
+/// selects it at runtime via cpuid, so one binary runs correctly on any host.
 ///
 /// Dispatch rule: gemm_simd() runs the SIMD micro-kernels iff they were
 /// compiled in AND the running CPU reports the ISA (simd_supported());
@@ -46,16 +46,15 @@ void gemm_simd(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 
 namespace detail {
 
-/// True iff gemm_simd.cpp was built with an ISA section (compile-time
-/// capability; simd_supported() adds the runtime cpuid check on top).
-bool simd_kernels_compiled();
-
-/// ISA name of the compiled kernel section ("avx2"/"neon"/"none").
+/// ISA name of the compiled kernel section ("avx2"/"neon"), or "none" when
+/// gemm_simd.cpp was built without one (compile-time capability;
+/// simd_supported() adds the runtime cpuid check on top).
 const char* simd_kernel_isa();
 
 /// The raw SIMD blocked driver. Preconditions (argument validation, the
-/// m/n/k == 0 and alpha == 0 early-outs) are handled by gemm_simd() — this
-/// must only be called when simd_supported() and m, n, k > 0, alpha != 0.
+/// m/n/k == 0 and alpha == 0 early-outs) are handled by gemm_simd() through
+/// gemm_trivial() — this must only be called when simd_supported() and
+/// m, n, k > 0, alpha != 0.
 void gemm_simd_kernel(bool trans_a, bool trans_b, std::size_t m,
                       std::size_t n, std::size_t k, float alpha,
                       const float* a, std::size_t lda, const float* b,

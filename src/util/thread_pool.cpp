@@ -57,73 +57,14 @@ void ThreadPool::parallel_for(std::size_t n, const IndexFn& fn) {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::async(std::function<void()> fn) {
-  OB_REQUIRE(fn != nullptr, "ThreadPool::async: null task");
-  if (threads_.empty()) {
-    // Inline mode: run synchronously; a throw surfaces at async_join().
-    std::exception_ptr err;
-    try {
-      fn();
-    } catch (...) {
-      err = std::current_exception();
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (err && !async_error_) async_error_ = err;
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    OB_REQUIRE(!async_inflight_,
-               "ThreadPool::async: one async task at a time");
-    async_fn_ = std::move(fn);
-    async_pending_ = true;
-    async_inflight_ = true;
-  }
-  work_ready_.notify_one();
-}
-
-bool ThreadPool::async_active() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return async_inflight_;
-}
-
-void ThreadPool::async_join() {
-  std::exception_ptr err;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    async_done_.wait(lock, [this] { return !async_inflight_; });
-    err = async_error_;
-    async_error_ = nullptr;
-  }
-  if (err) std::rethrow_exception(err);
-}
-
 void ThreadPool::worker_loop(std::size_t worker_id) {
   std::uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     work_ready_.wait(lock, [this, seen_generation] {
-      return stop_ || generation_ != seen_generation || async_pending_;
+      return stop_ || generation_ != seen_generation;
     });
     if (stop_) return;
-    if (async_pending_) {
-      async_pending_ = false;
-      std::function<void()> task = std::move(async_fn_);
-      async_fn_ = nullptr;
-      lock.unlock();
-      std::exception_ptr err;
-      try {
-        task();
-      } catch (...) {
-        err = std::current_exception();
-      }
-      lock.lock();
-      if (err && !async_error_) async_error_ = err;
-      async_inflight_ = false;
-      async_done_.notify_all();
-      continue;  // re-check for a parallel_for that raced in meanwhile
-    }
-    if (generation_ == seen_generation) continue;  // woken for async only
     seen_generation = generation_;
     // Claim indices until the job is drained (or failed). The lock is
     // dropped around the user function, so workers run concurrently.

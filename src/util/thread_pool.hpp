@@ -57,26 +57,6 @@ class ThreadPool {
   /// parallel_for at a time per pool.
   void parallel_for(std::size_t n, const IndexFn& fn);
 
-  /// Hands one fire-and-forget task to a pool worker and returns
-  /// immediately — the serving daemon's idle-time background-search hook.
-  /// At most one async task may be in flight (std::invalid_argument
-  /// otherwise); its exception, if any, is stowed and rethrown by
-  /// async_join(). In inline mode (workers == 1, no threads) the task runs
-  /// synchronously on the caller before async() returns — same contract,
-  /// zero concurrency. An async task in flight shares workers with
-  /// parallel_for: a concurrent loop simply runs one worker short until the
-  /// task finishes.
-  void async(std::function<void()> fn);
-
-  /// True while an async task is submitted but not yet finished. Always
-  /// false in inline mode (the task completed inside async()).
-  bool async_active();
-
-  /// Blocks until the in-flight async task (if any) finishes, then rethrows
-  /// its exception if it threw. Call before destroying the pool if the
-  /// task's outcome matters — destruction abandons a not-yet-claimed task.
-  void async_join();
-
  private:
   void worker_loop(std::size_t worker_id);
 
@@ -95,13 +75,6 @@ class ThreadPool {
   std::uint64_t generation_ = 0;
   std::exception_ptr error_;
   bool stop_ = false;
-
-  // Single-slot async task state, guarded by mutex_ like the job state.
-  std::condition_variable async_done_;
-  std::function<void()> async_fn_;
-  bool async_pending_ = false;   ///< submitted, no worker has claimed it yet
-  bool async_inflight_ = false;  ///< submitted and not yet finished
-  std::exception_ptr async_error_;
 };
 
 }  // namespace omniboost::util

@@ -1,13 +1,11 @@
 // The daemon wire protocol's building blocks: the shared trace-clause
 // grammar (workload::parse_event_clause / serialize_event_clause), the
-// PacedClock, the loopback TCP shims, and the ThreadPool async hook — plus a
-// malformed-command corpus and a byte-mutation fuzz asserting the parser
-// only ever fails with std::invalid_argument (clean `err` replies, never a
-// daemon crash).
+// PacedClock and the loopback TCP shims — plus a malformed-command corpus
+// and a byte-mutation fuzz asserting the parser only ever fails with
+// std::invalid_argument (clean `err` replies, never a daemon crash).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -18,7 +16,6 @@
 #include "util/clock.hpp"
 #include "util/net.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -290,47 +287,6 @@ TEST(Net, RecvLineRejectsALineLongerThanTheCap) {
             util::TcpStream::RecvStatus::kTooLong);
   victim.close();  // unblocks the flood if it is still writing
   flood.join();
-}
-
-// --- ThreadPool async hook (the daemon's background-search slot).
-
-TEST(ThreadPoolAsync, RunsAndJoins) {
-  util::ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  pool.async([&] { ++hits; });
-  pool.async_join();
-  EXPECT_EQ(hits.load(), 1);
-  EXPECT_FALSE(pool.async_active());
-
-  pool.async([&] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.async_join(), std::runtime_error);
-  // The error slot is cleared: the pool is reusable.
-  pool.async([&] { ++hits; });
-  pool.async_join();
-  EXPECT_EQ(hits.load(), 2);
-}
-
-TEST(ThreadPoolAsync, InlineModeRunsSynchronously) {
-  util::ThreadPool pool(1);  // no worker threads
-  int hits = 0;
-  pool.async([&] { ++hits; });
-  EXPECT_EQ(hits, 1);  // already ran, before join
-  EXPECT_FALSE(pool.async_active());
-  pool.async_join();  // no-op, no error
-
-  pool.async([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(pool.async_join(), std::runtime_error);
-}
-
-TEST(ThreadPoolAsync, SingleSlotEnforced) {
-  util::ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  pool.async([&] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  EXPECT_THROW(pool.async([] {}), std::invalid_argument);
-  release = true;
-  pool.async_join();
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <tuple>
 
 #include "tensor/gemm.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -172,6 +175,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TensorAlgebraProperty,
 using omniboost::tensor::col2im;
 using omniboost::tensor::conv_out_extent;
 using omniboost::tensor::gemm;
+using omniboost::tensor::gemm_simd;
 using omniboost::tensor::im2col;
 using omniboost::tensor::matmul;
 
@@ -201,14 +205,27 @@ void naive_gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   }
 }
 
+/// Both GEMM entry points: the portable blocked kernel and the SIMD path
+/// (which runs the scalar kernel on hosts without the ISA).
+using GemmFn = void (*)(bool, bool, std::size_t, std::size_t, std::size_t,
+                        float, const float*, std::size_t, const float*,
+                        std::size_t, float, float*, std::size_t);
+struct GemmEntry {
+  const char* name;
+  GemmFn fn;
+};
+const GemmEntry kGemmEntries[] = {{"gemm", &gemm}, {"gemm_simd", &gemm_simd}};
+
 struct GemmCase {
   std::size_t m, n, k;
 };
 
-class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
+class GemmSweep
+    : public ::testing::TestWithParam<std::tuple<GemmEntry, GemmCase>> {};
 
 TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
-  const GemmCase g = GetParam();
+  const GemmFn fn = std::get<0>(GetParam()).fn;
+  const GemmCase g = std::get<1>(GetParam());
   omniboost::util::Rng rng(g.m * 131 + g.n * 17 + g.k);
   for (const bool ta : {false, true}) {
     for (const bool tb : {false, true}) {
@@ -220,8 +237,8 @@ TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
       Tensor got({g.m, g.n});
       naive_gemm(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
                  b.extent(1), 0.0f, want.data(), g.n);
-      gemm(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
-           b.extent(1), 0.0f, got.data(), g.n);
+      fn(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
+         b.extent(1), 0.0f, got.data(), g.n);
       for (std::size_t i = 0; i < want.size(); ++i)
         ASSERT_NEAR(want[i], got[i], 1e-4)
             << "ta=" << ta << " tb=" << tb << " element " << i;
@@ -229,17 +246,32 @@ TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
   }
 }
 
-// Spans the micro-tile (4x16) and cache-block (64/128/256) boundaries and
-// their off-by-one neighbours, plus degenerate single-row/column shapes.
+// Spans the micro-tile (scalar 4x8, SIMD 6x16) and cache-block (scalar
+// 64/128/256, SIMD 96/256/256 for MC/KC/NC) boundaries and their off-by-one
+// neighbours, plus degenerate single-row/column shapes. {7,17,257} and up
+// take a second SIMD k-block; {97,272,300} and {130,513,520} also cross
+// its m and n blocks.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSweep,
-    ::testing::Values(GemmCase{1, 1, 1}, GemmCase{1, 16, 3},
-                      GemmCase{4, 16, 8}, GemmCase{5, 17, 9},
-                      GemmCase{3, 1, 12}, GemmCase{8, 90, 27},
-                      GemmCase{24, 396, 216}, GemmCase{65, 33, 129},
-                      GemmCase{64, 256, 128}, GemmCase{67, 259, 131}));
+    ::testing::Combine(
+        ::testing::ValuesIn(kGemmEntries),
+        ::testing::Values(GemmCase{1, 1, 1}, GemmCase{1, 16, 3},
+                          GemmCase{4, 16, 8}, GemmCase{5, 17, 9},
+                          GemmCase{3, 1, 12}, GemmCase{8, 90, 27},
+                          GemmCase{24, 396, 216}, GemmCase{65, 33, 129},
+                          GemmCase{64, 256, 128}, GemmCase{67, 259, 131},
+                          GemmCase{6, 16, 256}, GemmCase{7, 17, 257},
+                          GemmCase{97, 272, 300}, GemmCase{130, 513, 520})),
+    [](const auto& param_info) {
+      const GemmCase g = std::get<1>(param_info.param);
+      return std::string(std::get<0>(param_info.param).name) + "_" +
+             std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
+             std::to_string(g.k);
+    });
 
-TEST(Gemm, AlphaBetaSemantics) {
+class GemmEntryTest : public ::testing::TestWithParam<GemmEntry> {};
+
+TEST_P(GemmEntryTest, AlphaBetaSemantics) {
   omniboost::util::Rng rng(77);
   const Tensor a = random_tensor({3, 4}, rng);
   const Tensor b = random_tensor({4, 5}, rng);
@@ -247,29 +279,35 @@ TEST(Gemm, AlphaBetaSemantics) {
   Tensor want = c;
   naive_gemm(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f,
              want.data(), 5);
-  gemm(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f, c.data(),
-       5);
+  GetParam().fn(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f,
+                c.data(), 5);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], want[i], 1e-4);
 }
 
-TEST(Gemm, BetaZeroOverwritesNaN) {
+TEST_P(GemmEntryTest, BetaZeroOverwritesNaN) {
   // beta == 0 must overwrite even NaN garbage in C (0 * NaN != 0).
   const Tensor a({2, 2}, 1.0f);
   const Tensor b({2, 2}, 1.0f);
   Tensor c({2, 2}, std::numeric_limits<float>::quiet_NaN());
-  gemm(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(),
-       2);
+  GetParam().fn(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f,
+                c.data(), 2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 2.0f);
 }
 
-TEST(Gemm, KZeroScalesByBeta) {
+TEST_P(GemmEntryTest, KZeroScalesByBeta) {
   const Tensor a({2, 1}, 1.0f);
   const Tensor b({1, 2}, 1.0f);
   Tensor c({2, 2}, 3.0f);
-  gemm(false, false, 2, 2, 0, 1.0f, a.data(), 1, b.data(), 2, 0.5f, c.data(),
-       2);
+  GetParam().fn(false, false, 2, 2, 0, 1.0f, a.data(), 1, b.data(), 2, 0.5f,
+                c.data(), 2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 1.5f);
 }
+
+INSTANTIATE_TEST_SUITE_P(Entries, GemmEntryTest,
+                         ::testing::ValuesIn(kGemmEntries),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param.name);
+                         });
 
 TEST(Gemm, BitDeterministicRunToRun) {
   omniboost::util::Rng rng(5);

@@ -1,6 +1,8 @@
 #include "daemon.hpp"
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,7 +14,6 @@
 #include "util/clock.hpp"
 #include "util/net.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/scenario.hpp"
 
 namespace omniboost::daemon {
@@ -55,8 +56,7 @@ class Daemon {
         clock_(config.time_scale),
         session_(cluster, factory, policy),
         bg_done_version_(cluster.boards().size(),
-                         ~static_cast<std::uint64_t>(0)),
-        pool_(2) {}
+                         ~static_cast<std::uint64_t>(0)) {}
 
   int run() {
     util::TcpListener listener(config_.port);
@@ -71,9 +71,8 @@ class Daemon {
       }
       serve_client(client);
     }
-    // Let an in-flight background slice finish before tearing down (its
-    // lambda writes daemon members).
-    if (bg_running_) pool_.async_join();
+    // Let an in-flight background slice finish; get() rethrows its failure.
+    if (bg_.valid()) bg_.get();
     return 0;
   }
 
@@ -225,21 +224,20 @@ class Daemon {
   /// trace, so saved traces stay exactly what the operator sent.
   void idle_tick() {
     if (config_.background_slice_ms <= 0.0) return;
-    if (bg_running_ && !pool_.async_active()) {
-      pool_.async_join();
-      bg_running_ = false;
+    if (bg_.valid() &&
+        bg_.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      const sched::RefineResult result = bg_.get();  // rethrows a failure
       bool installed = false;
-      if (bg_result_.improved && session_.version() == bg_version_)
-        installed =
-            session_.install_mapping(bg_board_, bg_result_.mapping,
-                                     clock_.now_s(),
-                                     "background re-search (install)");
+      if (result.improved && session_.version() == bg_version_)
+        installed = session_.install_mapping(bg_board_, result.mapping,
+                                             clock_.now_s(),
+                                             "background re-search (install)");
       session_.note_background_search(installed);
       // One slice per board per version: converged-enough until the next
       // event changes the mix (or speed) and re-arms the board.
       bg_done_version_[bg_board_] = bg_version_;
     }
-    if (bg_running_) return;
+    if (bg_.valid()) return;
     const std::size_t n = session_.size();
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t b = (bg_next_ + k) % n;
@@ -257,11 +255,11 @@ class Daemon {
       bg_board_ = b;
       bg_version_ = session_.version();
       bg_next_ = (b + 1) % n;
-      bg_running_ = true;
-      pool_.async([this, w = std::move(w), seed = std::move(seed),
-                   dev = std::move(dev), bc]() {
-        bg_result_ = sched::anytime_refine(*zoo_, dev, w, seed, bc);
-      });
+      bg_ = std::async(std::launch::async,
+                       [zoo = zoo_, w = std::move(w), seed = std::move(seed),
+                        dev = std::move(dev), bc]() {
+                         return sched::anytime_refine(*zoo, dev, w, seed, bc);
+                       });
       return;
     }
   }
@@ -275,15 +273,14 @@ class Daemon {
   workload::ScenarioValidator validator_;  ///< state after recorded_
   bool shutdown_ = false;
 
-  // Background re-search state. bg_result_ is written by the pool worker
-  // and read here only after async_join() (which synchronizes).
-  bool bg_running_ = false;
+  // Background re-search state. The slice in flight (if any) is bg_; its
+  // result is read only through bg_.get(), which synchronizes, and bg_'s
+  // destructor joins a slice still running.
   std::size_t bg_board_ = 0;
   std::uint64_t bg_version_ = 0;
   std::size_t bg_next_ = 0;
   std::vector<std::uint64_t> bg_done_version_;
-  sched::RefineResult bg_result_;
-  util::ThreadPool pool_;  // last member: destroyed first, before bg_result_
+  std::future<sched::RefineResult> bg_;
 };
 
 }  // namespace

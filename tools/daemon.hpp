@@ -10,7 +10,7 @@
 /// and replayed offline through core::Cluster::run. Between commands the
 /// daemon runs idle-time background re-search: a wall-clock-budgeted BnB
 /// refinement (sched::anytime_refine) of one board's installed mapping on a
-/// util::ThreadPool, installed only if it strictly improves the incumbent
+/// std::async thread, installed only if it strictly improves the incumbent
 /// and no event raced in (ClusterSession::version()). See docs/SERVING.md
 /// for the operator guide and the full protocol reference.
 ///

@@ -61,6 +61,47 @@ cmake -B "$build_dir" -S "$root" ${OMNIBOOST_CMAKE_FLAGS:-}
 echo "== build ($jobs jobs) =="
 cmake --build "$build_dir" -j "$jobs"
 
+# ISA isolation: gemm_simd.cpp is compiled with -mavx2 -mfma and shares its
+# blocked GEMM with the portable gemm.cpp through gemm_blocked.hpp. A
+# symbol of that header visible outside its object could be merged by the
+# linker with the other TU's copy, putting AVX2 code (SIGILL without the
+# ISA) or FMA-contracted folds (other bits) on the portable path. So the
+# SIMD object may export only its tensor::detail entry points, and no
+# gemm_blocked.hpp name may be global or weak in either object. Only
+# omniboost:: names are checked, so std and sanitizer symbols cannot trip it.
+echo "== ISA isolation =="
+if command -v nm > /dev/null 2>&1; then
+  objs="$build_dir/CMakeFiles/omniboost.dir/src/tensor"
+  for obj in gemm.cpp.o gemm_simd.cpp.o; do
+    [ -f "$objs/$obj" ] || {
+      echo "run_tier1.sh: ISA isolation: no $objs/$obj" >&2
+      exit 1
+    }
+  done
+  # Demangled names of the global/weak omniboost:: symbols an object defines.
+  exported() {
+    nm -C --defined-only "$1" | awk '$2 ~ /^[A-Zu]$/' | cut -d' ' -f3- |
+      grep 'omniboost::' || true
+  }
+  leaks=$(
+    exported "$objs/gemm_simd.cpp.o" |
+      grep -v '^omniboost::tensor::detail::' || true
+    helpers='omniboost::tensor::(op_at|pack_a|pack_b|fold_tile|blocked_gemm)\b'
+    for obj in gemm.cpp.o gemm_simd.cpp.o; do
+      exported "$objs/$obj" | grep -E "$helpers" || true
+    done
+  )
+  if [ -n "$leaks" ]; then
+    echo "run_tier1.sh: symbols escape the ISA-flagged GEMM objects:" >&2
+    echo "$leaks" | sort -u >&2
+    exit 1
+  fi
+  echo "ISA isolation: OK"
+else
+  echo "run_tier1.sh: WARNING: nm not found, skipping the ISA isolation" \
+       "check" >&2
+fi
+
 echo "== ctest =="
 (cd "$build_dir" && ctest --output-on-failure -j "$jobs")
 
