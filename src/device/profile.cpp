@@ -1,6 +1,7 @@
 #include "device/profile.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -72,6 +73,48 @@ void save_profile_file(const DeviceSpec& spec, const std::string& path) {
   std::ofstream os(path);
   if (!os) throw std::runtime_error("save_profile_file: cannot open " + path);
   save_profile(spec, os);
+}
+
+void validate(const DeviceSpec& spec) {
+  std::string section;
+  const auto check = [&](bool ok, const char* key, double value,
+                         const char* rule) {
+    if (ok) return;
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    throw std::invalid_argument("device profile: [" + section + "] " + key +
+                                " = " + buf + " must be " + rule);
+  };
+  const auto positive = [&](const char* key, double v) {
+    check(std::isfinite(v) && v > 0.0, key, v, "finite and > 0");
+  };
+  const auto non_negative = [&](const char* key, double v) {
+    check(std::isfinite(v) && v >= 0.0, key, v, "finite and >= 0");
+  };
+  const auto fraction = [&](const char* key, double v) {
+    check(v > 0.0 && v <= 1.0, key, v, "in (0, 1]");
+  };
+  section = "device";
+  positive("dram_bw_gbps", spec.dram_bw_gbps);
+  positive("memory_budget_bytes", spec.memory_budget_bytes);
+  non_negative("per_stream_overhead_bytes", spec.per_stream_overhead_bytes);
+  non_negative("per_inference_overhead_s", spec.per_inference_overhead_s);
+  section = "link";
+  positive("bandwidth_gbps", spec.link.bandwidth_gbps);
+  non_negative("latency_s", spec.link.latency_s);
+  for (std::size_t i = 0; i < kNumComponents; ++i) {
+    const ComponentSpec& c = spec.components[i];
+    section = std::string("component.") + kComponentSections[i];
+    positive("peak_gflops", c.peak_gflops);
+    positive("mem_bw_gbps", c.mem_bw_gbps);
+    non_negative("kernel_overhead_s", c.kernel_overhead_s);
+    fraction("eff_gemm", c.efficiency.gemm);
+    fraction("eff_direct_conv", c.efficiency.direct_conv);
+    fraction("eff_depthwise", c.efficiency.depthwise);
+    fraction("eff_elementwise", c.efficiency.elementwise);
+    positive("working_set_budget_bytes", c.working_set_budget_bytes);
+    non_negative("contention_exponent", c.contention_exponent);
+  }
 }
 
 DeviceSpec load_profile(std::istream& is) {
@@ -198,6 +241,7 @@ DeviceSpec load_profile(std::istream& is) {
       }
     }
   }
+  validate(spec);
   return spec;
 }
 

@@ -24,8 +24,17 @@ void save_profile_file(const DeviceSpec& spec, const std::string& path);
 
 /// Parses a profile, starting from make_hikey970() defaults. Throws
 /// std::runtime_error on malformed lines, unknown sections/keys, or
-/// non-numeric values.
+/// non-numeric values, and std::invalid_argument (validate()) when a value
+/// is out of range.
 DeviceSpec load_profile(std::istream& is);
 DeviceSpec load_profile_file(const std::string& path);
+
+/// Throws std::invalid_argument, naming the profile section and key, unless
+/// every value of \p spec is in range: bandwidths, peaks, the memory and
+/// working-set budgets finite and > 0; overheads, latency and contention
+/// exponents finite and >= 0; kernel efficiencies in (0, 1]. A value out of
+/// range would otherwise surface as a nonsense decision or a failed
+/// invariant deep inside the simulator.
+void validate(const DeviceSpec& spec);
 
 }  // namespace omniboost::device

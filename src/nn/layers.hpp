@@ -1,7 +1,7 @@
 #pragma once
 /// \file layers.hpp
-/// Concrete layers: Conv2d, Linear, BatchNorm2d, activations, pooling,
-/// Flatten. All consume/produce NCHW (or (N,F) for Linear) float tensors and
+/// Concrete layers: Conv2d, Linear, BatchNorm2d, activations, pooling.
+/// All consume/produce NCHW (or (N,F) for Linear) float tensors and
 /// implement exact analytic backward passes (verified against numeric
 /// differentiation in tests/nn_gradcheck_test.cpp).
 
@@ -184,17 +184,6 @@ class GlobalAvgPool final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "GlobalAvgPool"; }
-
- private:
-  tensor::Shape in_shape_;
-};
-
-/// Flattens (N, ...) to (N, F).
-class Flatten final : public Module {
- public:
-  Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
-  std::string name() const override { return "Flatten"; }
 
  private:
   tensor::Shape in_shape_;

@@ -100,16 +100,4 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   return gx;
 }
 
-Tensor Flatten::forward(const Tensor& x) {
-  OB_REQUIRE(x.rank() >= 2, "Flatten: input must have a batch dimension");
-  in_shape_ = x.shape();
-  const std::size_t n = x.extent(0);
-  return x.reshaped({n, x.size() / n});
-}
-
-Tensor Flatten::backward(const Tensor& grad_out) {
-  OB_REQUIRE(!in_shape_.empty(), "Flatten::backward before forward");
-  return grad_out.reshaped(in_shape_);
-}
-
 }  // namespace omniboost::nn

@@ -4,18 +4,18 @@
 #include <vector>
 
 #include "tensor/gemm_blocked.hpp"
+#include "tensor/simd.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::tensor {
 
 namespace {
 
-// Cache-blocking parameters. The packed A block (kMC x kKC floats) and one
-// B panel (kKC x kNR) sit comfortably in L1/L2 on any contemporary core;
-// the micro-tile accumulates a kMR x kNR register block so each packed
-// element is loaded once per tile instead of once per multiply-add.
+// Cache-blocking parameters. The packed A block (kMC x kGemmKC floats) and
+// one B panel (kGemmKC x kNR) sit comfortably in L1/L2 on any contemporary
+// core; the micro-tile accumulates a kMR x kNR register block so each
+// packed element is loaded once per tile instead of once per multiply-add.
 constexpr std::size_t kMC = 64;   // rows of op(A) per block
-constexpr std::size_t kKC = 128;  // shared dimension per block
 constexpr std::size_t kNC = 256;  // cols of op(B) per block
 
 /// 4x8 register tile: acc = sum_k apanel[k]*bpanel[k], then folded into C
@@ -75,6 +75,14 @@ bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   return true;
 }
 
+void gemm_portable(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                   std::size_t k, float alpha, const float* a, std::size_t lda,
+                   const float* b, std::size_t ldb, float beta, float* c,
+                   std::size_t ldc) {
+  blocked_gemm<ScalarTile, kMC, kGemmKC, kNC>(trans_a, trans_b, m, n, k, alpha,
+                                              a, lda, b, ldb, beta, c, ldc);
+}
+
 }  // namespace detail
 
 void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
@@ -84,8 +92,15 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   if (detail::gemm_trivial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
                            beta, c, ldc))
     return;
-  blocked_gemm<ScalarTile, kMC, kKC, kNC>(trans_a, trans_b, m, n, k, alpha, a,
-                                          lda, b, ldb, beta, c, ldc);
+  // Same arithmetic either way (gemm_vector.cpp); the vector tile only needs
+  // the ISA that simd_supported() has already checked for.
+  if (simd_supported()) {
+    detail::gemm_vector_kernel(trans_a, trans_b, m, n, k, alpha, a, lda, b,
+                               ldb, beta, c, ldc);
+  } else {
+    detail::gemm_portable(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+                          beta, c, ldc);
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -10,13 +10,17 @@
 /// path (simd.hpp) through the internal gemm_blocked.hpp; each kernel keeps
 /// only its block sizes and its register micro-tile.
 ///
-/// Determinism contract: for a fixed problem shape the summation order of
-/// every output element is fixed (k is traversed block-by-block in
-/// ascending order inside an accumulator register), so repeated calls are
-/// bit-identical run-to-run. The order differs from a naive k-loop, so
-/// results may differ from the reference kernels by float-rounding only
-/// (|delta| well under 1e-6 for the estimator's value ranges — pinned by
-/// tests/nn_kernel_test.cpp).
+/// Determinism contract: gemm()'s bits are defined by its arithmetic, not by
+/// the tile that runs it. For each output element, k is taken in ascending
+/// order with a separately rounded multiply then an add (no FMA); the
+/// running sum restarts from +0 at every kGemmKC-wide k-block, and each
+/// block is folded into C as alpha * sum (plus beta * C on the first block,
+/// or onto C after it). Two tiles implement it: the portable 4x8 tile
+/// (gemm_portable) and an 8-wide AVX2 tile (gemm_vector.cpp) entered behind
+/// simd_supported(). So results are bit-identical run to run AND host to
+/// host. The order differs from a naive k-loop, so results may differ from
+/// the reference kernels by float-rounding only (|delta| well under 1e-6
+/// for the estimator's value ranges — pinned by tests/nn_kernel_test.cpp).
 
 #include <algorithm>
 #include <cstddef>
@@ -38,6 +42,10 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 
 namespace detail {
 
+/// Width of gemm()'s k-blocks: part of its arithmetic (the running sum
+/// restarts at each block), so every tile that runs gemm() uses it.
+inline constexpr std::size_t kGemmKC = 128;
+
 /// The argument checks and trivial cases of gemm() and gemm_simd(): throws
 /// on a null operand or a too-small stride, then returns true iff the call
 /// is already complete — m == 0 or n == 0 (no-op), or k == 0 or
@@ -47,6 +55,21 @@ bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t k, float alpha, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, float beta, float* c,
                   std::size_t ldc);
+
+/// gemm()'s blocked driver on the portable 4x8 tile, and the same
+/// arithmetic on the AVX2 tile (which runs gemm_portable on targets built
+/// without it). Like gemm_simd_kernel, these skip gemm_trivial(): call them
+/// only with m, n, k > 0 and alpha != 0. gemm_vector_kernel also requires
+/// simd_supported().
+void gemm_portable(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                   std::size_t k, float alpha, const float* a, std::size_t lda,
+                   const float* b, std::size_t ldb, float beta, float* c,
+                   std::size_t ldc);
+void gemm_vector_kernel(bool trans_a, bool trans_b, std::size_t m,
+                        std::size_t n, std::size_t k, float alpha,
+                        const float* a, std::size_t lda, const float* b,
+                        std::size_t ldb, float beta, float* c,
+                        std::size_t ldc);
 
 }  // namespace detail
 

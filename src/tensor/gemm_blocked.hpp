@@ -1,26 +1,55 @@
 #pragma once
 /// \file gemm_blocked.hpp
-/// The BLIS-style blocked GEMM loop nest behind both kernels: tensor::gemm
-/// (gemm.cpp, portable scalar 4x8 tile) and the SIMD path (gemm_simd.cpp,
-/// 6x16 AVX2 or 4x8 NEON tile). op(A) is packed into MR-row k-major panels,
+/// The BLIS-style blocked GEMM loop nest behind every kernel: tensor::gemm
+/// (gemm.cpp's portable scalar 4x8 tile, or gemm_vector.cpp's AVX2 2x24
+/// tile with the same arithmetic) and the SIMD path (gemm_simd.cpp, 6x16
+/// AVX2 or 4x8 NEON FMA tile). op(A) is packed into MR-row k-major panels,
 /// op(B) into NR-column panels, and a register micro-tile is swept over the
 /// packed blocks. Each kernel TU supplies only its block sizes and its tile.
 ///
-/// Internal header: include it from those two TUs only. Everything here has
-/// internal linkage (an unnamed namespace), and that is a correctness rule,
-/// not style. gemm_simd.cpp is compiled with -mavx2 -mfma; an externally
-/// visible instantiation (say pack_a<4>, which both TUs instantiate) would
-/// be a weak symbol the linker may merge, keeping either copy. The portable
-/// kGemm path could then run AVX2 code (SIGILL on hosts without it) or
-/// FMA-contracted folds (different bits). tools/run_tier1.sh checks with nm
-/// that no name from this header is global or weak in either object.
+/// Internal header: include it from those three TUs only. Everything here
+/// has internal linkage (an unnamed namespace), and that is a correctness
+/// rule, not style. gemm_simd.cpp is compiled with -mavx2 -mfma and
+/// gemm_vector.cpp with -mavx2; an externally visible instantiation (say
+/// pack_a<4>, which all three TUs instantiate) would be a weak symbol the
+/// linker may merge, keeping any copy. The portable kGemm path could then
+/// run AVX2 code (SIGILL on hosts without it) or FMA-contracted folds
+/// (different bits). tools/run_tier1.sh checks with nm that no name from
+/// this header is global or weak in any of the objects.
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 namespace omniboost::tensor {
 namespace {
+
+/// Packing scratch that only grows; its contents are unspecified. Not a
+/// std::vector: that would emit std::vector<float>'s out-of-line members as
+/// weak symbols compiled with the including TU's ISA flags, and the linker
+/// may keep that copy for every std::vector<float> in the program.
+class PackBuffer {
+ public:
+  PackBuffer() = default;
+  PackBuffer(const PackBuffer&) = delete;
+  PackBuffer& operator=(const PackBuffer&) = delete;
+  ~PackBuffer() { delete[] data_; }
+
+  /// Room for at least n floats.
+  float* reserve(std::size_t n) {
+    if (n > size_) {
+      delete[] data_;
+      data_ = nullptr;  // stays empty if the allocation throws
+      size_ = 0;
+      data_ = new float[n];
+      size_ = n;
+    }
+    return data_;
+  }
+
+ private:
+  float* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// Element (r, c) of op(X) where the stored matrix has row stride ld.
 inline float op_at(const float* x, std::size_t ld, bool trans, std::size_t r,
@@ -99,10 +128,13 @@ void blocked_gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   // Packing scratch, rounded up to whole micro-panels. Reused across calls
   // (thread_local: kernels may run concurrently on pool workers); sized by
   // the fixed block caps, so it stops growing after the first large call.
-  static thread_local std::vector<float> apack;
-  static thread_local std::vector<float> bpack;
-  apack.resize(((std::min(m, MC) + MR - 1) / MR) * MR * std::min(k, KC));
-  bpack.resize(((std::min(n, NC) + NR - 1) / NR) * NR * std::min(k, KC));
+  static thread_local PackBuffer apack_buf;
+  static thread_local PackBuffer bpack_buf;
+  const std::size_t kcap = std::min(k, KC);
+  float* const apack =
+      apack_buf.reserve((std::min(m, MC) + MR - 1) / MR * MR * kcap);
+  float* const bpack =
+      bpack_buf.reserve((std::min(n, NC) + NR - 1) / NR * NR * kcap);
 
   for (std::size_t j0 = 0; j0 < n; j0 += NC) {
     const std::size_t nc = std::min(NC, n - j0);
@@ -110,19 +142,19 @@ void blocked_gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     for (std::size_t k0 = 0; k0 < k; k0 += KC) {
       const std::size_t kc = std::min(KC, k - k0);
       const bool first_kblock = k0 == 0;
-      pack_b<NR>(b, ldb, trans_b, k0, j0, kc, nc, bpack.data());
+      pack_b<NR>(b, ldb, trans_b, k0, j0, kc, nc, bpack);
       for (std::size_t i0 = 0; i0 < m; i0 += MC) {
         const std::size_t mc = std::min(MC, m - i0);
         const std::size_t mpanels = (mc + MR - 1) / MR;
-        pack_a<MR>(a, lda, trans_a, i0, k0, mc, kc, apack.data());
+        pack_a<MR>(a, lda, trans_a, i0, k0, mc, kc, apack);
         for (std::size_t pj = 0; pj < npanels; ++pj) {
           const std::size_t j = pj * NR;
           const std::size_t cols = std::min(NR, nc - j);
-          const float* bpanel = bpack.data() + pj * kc * NR;
+          const float* bpanel = bpack + pj * kc * NR;
           for (std::size_t pi = 0; pi < mpanels; ++pi) {
             const std::size_t i = pi * MR;
             const std::size_t rows = std::min(MR, mc - i);
-            Tile::run(apack.data() + pi * kc * MR, bpanel, kc, alpha, beta,
+            Tile::run(apack + pi * kc * MR, bpanel, kc, alpha, beta,
                       first_kblock, c + (i0 + i) * ldc + j0 + j, ldc, rows,
                       cols);
           }

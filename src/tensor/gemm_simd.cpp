@@ -1,14 +1,14 @@
 /// \file gemm_simd.cpp
-/// The SIMD micro-kernel translation unit. This is the ONLY file in the
-/// library compiled with ISA flags (-mavx2 -mfma, applied per-source by
-/// CMake on x86-64 when the compiler accepts them; NEON is baseline on
-/// aarch64), so nothing outside gemm_simd_kernel() may call into it without
-/// the runtime cpuid gate in simd.cpp — the compiler is free to use the ISA
-/// anywhere in this TU.
+/// The SIMD micro-kernel translation unit, compiled with -mavx2 -mfma
+/// (applied per-source by CMake on x86-64 when the compiler accepts them;
+/// NEON is baseline on aarch64), so nothing outside gemm_simd_kernel() may
+/// call into it without the runtime cpuid gate in simd.cpp — the compiler
+/// is free to use the ISA anywhere in this TU. (gemm_vector.cpp, kGemm's
+/// AVX2 tile, is the other ISA-flagged TU, and it excludes FMA.)
 ///
 /// The blocked GEMM (packing, block loops, edge fold) is the one gemm.cpp
 /// runs, shared through gemm_blocked.hpp, whose internal linkage keeps this
-/// TU's AVX2/FMA instantiations out of the portable path. This file keeps
+/// TU's AVX2/FMA instantiations out of the kGemm paths. This file keeps
 /// only its block sizes and its register micro-tile: 6x16 AVX2 FMA (12
 /// accumulator ymm registers + 2 B loads + 1 A broadcast = 15 of 16) or 4x8
 /// NEON FMA (8 accumulator q registers).

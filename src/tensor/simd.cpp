@@ -1,8 +1,9 @@
 /// \file simd.cpp
 /// Runtime dispatch for the SIMD GEMM path. Deliberately compiled WITHOUT
-/// ISA flags (unlike gemm_simd.cpp): every instruction here must run on the
-/// portable baseline, because this is the code that decides — via cpuid —
-/// whether the ISA-flagged kernels may be entered at all.
+/// ISA flags (unlike gemm_simd.cpp and gemm_vector.cpp): every instruction
+/// here must run on the portable baseline, because this is the code that
+/// decides — via cpuid — whether the ISA-flagged kernels may be entered at
+/// all (tensor::gemm asks simd_supported() too).
 
 #include "tensor/simd.hpp"
 

@@ -3,10 +3,11 @@
 /// Explicit-SIMD GEMM path (nn::KernelKind::kSimd): tensor::gemm's blocked
 /// loop nest (one copy, gemm_blocked.hpp) with its own block sizes and a
 /// hand-written FMA micro-tile — 6x16 AVX2 on x86-64, 4x8 NEON on aarch64 —
-/// instead of the portable scalar 4x8 micro-tile. The library itself is
-/// still compiled without global -march flags: only the kernel translation
-/// unit (gemm_simd.cpp) gets per-source -mavx2 -mfma, and gemm_simd()
-/// selects it at runtime via cpuid, so one binary runs correctly on any host.
+/// instead of kGemm's tiles. The library itself is still compiled without
+/// global -march flags: only the kernel translation unit (gemm_simd.cpp)
+/// gets per-source -mavx2 -mfma, and gemm_simd() selects it at runtime via
+/// cpuid, so one binary runs correctly on any host. tensor::gemm enters its
+/// own AVX2 tile (gemm_vector.cpp, no FMA) behind the same cpuid gate.
 ///
 /// Dispatch rule: gemm_simd() runs the SIMD micro-kernels iff they were
 /// compiled in AND the running CPU reports the ISA (simd_supported());

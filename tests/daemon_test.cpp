@@ -4,9 +4,9 @@
 // accounting, (b) that the saved live trace replays offline to the
 // identical conservation line at one board and at two, and (c) that
 // idle-time background re-search runs and installs improvements without
-// disturbing stream accounting. Plus the flag surface: a bad count flag
-// fails at the flag, promptly. Self-skips when the CLI binary was not built
-// (OMNIBOOST_BUILD_TOOLS=OFF).
+// disturbing stream accounting. Plus the flag surface: a bad count, daemon
+// or device-profile value fails at the flag, promptly. Self-skips when the
+// CLI binary was not built (OMNIBOOST_BUILD_TOOLS=OFF).
 
 #include <gtest/gtest.h>
 
@@ -346,6 +346,24 @@ TEST(DaemonE2E, ClosedLoopRepliesTakeWellUnderADelayedAck) {
   EXPECT_EQ(daemon.shutdown(), 0);
 }
 
+/// Runs `omniboost_cli serve <args>` under a 10 s cap and expects exit 2
+/// with \p want in the output.
+void expect_serve_fails_at_the_flag(const std::string& args,
+                                    const std::string& want) {
+  const std::string cmd = "timeout 10 " + std::string(OMNIBOOST_CLI_PATH) +
+                          " serve " + args + " 2>&1";
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+      << args << ": status " << status << ", output: " << out;
+  EXPECT_NE(out.find(want), std::string::npos)
+      << args << ": no '" << want << "' in: " << out;
+}
+
 TEST(CliFlags, BadValuesFailAtTheFlag) {
   // Each bad value must exit 2 with a message naming the flag — not wrap a
   // count to a huge size_t and die in an allocation, hang in a search loop,
@@ -372,20 +390,37 @@ TEST(CliFlags, BadValuesFailAtTheFlag) {
     cases.emplace_back(rollout + "nan",
                        "option --rollout-fraction expects a number");
   }
-  for (const auto& [args, want] : cases) {
-    const std::string cmd = "timeout 10 " + std::string(OMNIBOOST_CLI_PATH) +
-                            " serve " + args + " 2>&1";
-    FILE* pipe = popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buf[512];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-    const int status = pclose(pipe);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
-        << args << ": status " << status << ", output: " << out;
-    EXPECT_NE(out.find(want), std::string::npos)
-        << args << ": no '" << want << "' in: " << out;
+  for (const auto& [args, want] : cases)
+    expect_serve_fails_at_the_flag(args, want);
+}
+
+TEST(CliFlags, DaemonValuesFailBeforeSetup) {
+  // Under the default omniboost scheduler the daemon's setup trains an
+  // estimator; a bad daemon value must be refused before that, not by the
+  // daemon's clock afterwards, and a negative slice must not silently turn
+  // background search off.
+  for (const char* value : {"0", "-1"})
+    expect_serve_fails_at_the_flag(
+        std::string("--listen 0 --time-scale ") + value,
+        "--time-scale must be > 0");
+  expect_serve_fails_at_the_flag("--listen 0 --background-slice-ms -5",
+                                 "--background-slice-ms must be >= 0");
+  expect_serve_fails_at_the_flag("--listen 70000",
+                                 "--listen must be a port in 0..65535");
+}
+
+TEST(CliFlags, BadDeviceProfileFailsAtTheFlag) {
+  // An out-of-range profile value used to run on (a negative GPU peak gave
+  // a "speedup") or die in a simulator invariant (a nan peak, exit 1).
+  const std::string path = ::testing::TempDir() + "ob_bad_profile.ini";
+  for (const char* peak : {"-5", "nan"}) {
+    std::ofstream(path) << "[component.gpu]\npeak_gflops = " << peak << "\n";
+    expect_serve_fails_at_the_flag(
+        "--scheduler greedy --device-file " + path,
+        "--device-file " + path + ": device profile: [component.gpu] "
+        "peak_gflops = " + peak);
   }
+  std::remove(path.c_str());
 }
 
 #endif  // OMNIBOOST_CLI_PATH

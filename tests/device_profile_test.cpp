@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/cluster.hpp"
 #include "device/cost_model.hpp"
 #include "device/profile.hpp"
 #include "models/zoo.hpp"
@@ -125,6 +126,40 @@ TEST(DeviceProfile, DiagnosesUserErrorsWithLineNumbers) {
   expect_error("[link]\njust-a-token\n", "expected 'key = value'");
   // Error text carries the offending line number.
   expect_error("[device]\n\n\ndram_bw_gbps = bad\n", "line 4");
+}
+
+TEST(DeviceProfile, ValidateAcceptsEveryBuiltInAndFleetVariant) {
+  const DeviceSpec hikey = device::make_hikey970();
+  EXPECT_NO_THROW(device::validate(hikey));
+  // Boards 0..2 are the base, -pro and -lite variants; the cycle repeats.
+  for (const core::BoardSpec& board : core::make_heterogeneous_fleet(3, hikey))
+    EXPECT_NO_THROW(device::validate(board.device)) << board.name;
+}
+
+TEST(DeviceProfile, OutOfRangeValuesNameTheSectionAndKey) {
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& fragment) {
+    std::stringstream buf(text);
+    try {
+      device::load_profile(buf);
+      FAIL() << "no error for: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected("[component.gpu]\npeak_gflops = -5\n",
+                  "[component.gpu] peak_gflops = -5 must be finite and > 0");
+  expect_rejected("[component.gpu]\npeak_gflops = nan\n",
+                  "[component.gpu] peak_gflops = nan");
+  expect_rejected("[component.little]\neff_gemm = 1.5\n",
+                  "[component.little] eff_gemm = 1.5 must be in (0, 1]");
+  expect_rejected("[component.big]\nkernel_overhead_s = -1e-6\n",
+                  "[component.big] kernel_overhead_s");
+  expect_rejected("[device]\ndram_bw_gbps = inf\n", "[device] dram_bw_gbps");
+  expect_rejected("[link]\nbandwidth_gbps = 0\n", "[link] bandwidth_gbps");
+  expect_rejected("[link]\nlatency_s = -1\n",
+                  "[link] latency_s = -1 must be finite and >= 0");
 }
 
 TEST(DeviceProfile, FileRoundTrip) {

@@ -134,12 +134,6 @@ TEST(GradCheck, GlobalAvgPool) {
   expect_gradients_ok(gap, random_tensor({2, 3, 3, 5}, rng), rng);
 }
 
-TEST(GradCheck, Flatten) {
-  Rng rng(53);
-  Flatten flat;
-  expect_gradients_ok(flat, random_tensor({2, 2, 3, 3}, rng), rng);
-}
-
 TEST(GradCheck, ResidualBlock) {
   for (const KernelKind kind : kBothKernels) {
     Rng rng(59);

@@ -270,14 +270,6 @@ TEST(GlobalAvgPool, AveragesPlane) {
   EXPECT_FLOAT_EQ(y[1], 20.0f);
 }
 
-TEST(Flatten, CollapsesTrailingDims) {
-  Flatten flat;
-  const Tensor y = flat.forward(Tensor({2, 3, 4, 5}));
-  EXPECT_EQ(y.shape(), (omniboost::tensor::Shape{2, 60}));
-  const Tensor g = flat.backward(Tensor({2, 60}));
-  EXPECT_EQ(g.shape(), (omniboost::tensor::Shape{2, 3, 4, 5}));
-}
-
 TEST(Sequential, ComposesAndCollectsParams) {
   Sequential seq;
   seq.emplace<Conv2d>(1, 2, 3, 1, 1);

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/simd.hpp"
@@ -246,28 +250,80 @@ TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
   }
 }
 
-// Spans the micro-tile (scalar 4x8, SIMD 6x16) and cache-block (scalar
-// 64/128/256, SIMD 96/256/256 for MC/KC/NC) boundaries and their off-by-one
-// neighbours, plus degenerate single-row/column shapes. {7,17,257} and up
-// take a second SIMD k-block; {97,272,300} and {130,513,520} also cross
-// its m and n blocks.
+// Spans the micro-tile (scalar 4x8, kGemm's AVX2 2x24, SIMD 6x16) and
+// cache-block (scalar 64/128/256, SIMD 96/256/256 for MC/KC/NC) boundaries
+// and their off-by-one neighbours, plus degenerate single-row/column shapes.
+// {7,17,257} and up take a second SIMD k-block; {97,272,300} and
+// {130,513,520} also cross its m and n blocks.
+const GemmCase kGemmSweepShapes[] = {
+    {1, 1, 1},      {1, 16, 3},     {4, 16, 8},     {5, 17, 9},
+    {3, 1, 12},     {8, 90, 27},    {24, 396, 216}, {65, 33, 129},
+    {64, 256, 128}, {67, 259, 131}, {6, 16, 256},   {7, 17, 257},
+    {97, 272, 300}, {130, 513, 520}};
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSweep,
-    ::testing::Combine(
-        ::testing::ValuesIn(kGemmEntries),
-        ::testing::Values(GemmCase{1, 1, 1}, GemmCase{1, 16, 3},
-                          GemmCase{4, 16, 8}, GemmCase{5, 17, 9},
-                          GemmCase{3, 1, 12}, GemmCase{8, 90, 27},
-                          GemmCase{24, 396, 216}, GemmCase{65, 33, 129},
-                          GemmCase{64, 256, 128}, GemmCase{67, 259, 131},
-                          GemmCase{6, 16, 256}, GemmCase{7, 17, 257},
-                          GemmCase{97, 272, 300}, GemmCase{130, 513, 520})),
+    ::testing::Combine(::testing::ValuesIn(kGemmEntries),
+                       ::testing::ValuesIn(kGemmSweepShapes)),
     [](const auto& param_info) {
       const GemmCase g = std::get<1>(param_info.param);
       return std::string(std::get<0>(param_info.param).name) + "_" +
              std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
              std::to_string(g.k);
     });
+
+std::uint32_t float_bits(float x) {
+  std::uint32_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+TEST(Gemm, VectorTileIsThePortableTileBitForBit) {
+  // tensor::gemm runs an AVX2 tile where simd_supported() and the portable
+  // 4x8 tile elsewhere. Both do gemm.hpp's arithmetic, so gemm's bits must
+  // not depend on the host. (Without the ISA both sides run the portable
+  // tile and this holds trivially.)
+  std::vector<GemmCase> shapes(std::begin(kGemmSweepShapes),
+                               std::end(kGemmSweepShapes));
+  // The estimator's five conv GEMMs (out_ch x batch*oh*ow x in_ch*3*3 on
+  // its 3x11x37 input) at batch 1 and 16; in_ch 24 takes two k-blocks.
+  for (const std::size_t batch : {1u, 16u}) {
+    for (const GemmCase conv : {GemmCase{8, 407, 27}, GemmCase{16, 90, 72},
+                                GemmCase{16, 18, 144}, GemmCase{24, 18, 144},
+                                GemmCase{24, 18, 216}})
+      shapes.push_back({conv.m, conv.n * batch, conv.k});
+  }
+  const std::pair<float, float> scales[] = {  // (alpha, beta)
+      {1.0f, 0.0f}, {1.0f, 1.0f}, {-0.75f, 0.0f}, {0.5f, 1.5f}, {2.0f, -1.0f}};
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const GemmCase g : shapes) {
+    omniboost::util::Rng rng(g.m * 131 + g.n * 17 + g.k);
+    for (const bool ta : {false, true}) {
+      for (const bool tb : {false, true}) {
+        const Tensor a =
+            random_tensor(ta ? Shape{g.k, g.m} : Shape{g.m, g.k}, rng);
+        const Tensor b =
+            random_tensor(tb ? Shape{g.n, g.k} : Shape{g.k, g.n}, rng);
+        const Tensor c0 = random_tensor({g.m, g.n}, rng);
+        for (const auto& [alpha, beta] : scales) {
+          // beta == 0 must overwrite C, so start from NaN there.
+          Tensor want = beta == 0.0f ? Tensor({g.m, g.n}, nan) : c0;
+          Tensor got = want;
+          omniboost::tensor::detail::gemm_portable(
+              ta, tb, g.m, g.n, g.k, alpha, a.data(), a.extent(1), b.data(),
+              b.extent(1), beta, want.data(), g.n);
+          gemm(ta, tb, g.m, g.n, g.k, alpha, a.data(), a.extent(1), b.data(),
+               b.extent(1), beta, got.data(), g.n);
+          for (std::size_t i = 0; i < want.size(); ++i)
+            ASSERT_EQ(float_bits(got[i]), float_bits(want[i]))
+                << g.m << "x" << g.n << "x" << g.k << " ta=" << ta
+                << " tb=" << tb << " alpha=" << alpha << " beta=" << beta
+                << " element " << i;
+        }
+      }
+    }
+  }
+}
 
 class GemmEntryTest : public ::testing::TestWithParam<GemmEntry> {};
 

@@ -26,6 +26,7 @@
 ///   omniboost_cli client localhost:7070 arrive MobileNet slo 100
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -248,9 +249,13 @@ void apply_kernel_option(const util::ArgParser& args) {
 
 /// Board model selection shared by both modes.
 device::DeviceSpec build_device(const util::ArgParser& args) {
-  return args.has("device-file")
-             ? device::load_profile_file(args.get("device-file"))
-             : device::make_hikey970();
+  if (!args.has("device-file")) return device::make_hikey970();
+  const std::string path = args.get("device-file");
+  try {
+    return device::load_profile_file(path);
+  } catch (const std::exception& e) {
+    throw std::invalid_argument("--device-file " + path + ": " + e.what());
+  }
 }
 
 /// Trains or loads the throughput estimator (shared by both CLI modes; the
@@ -593,6 +598,19 @@ int run_serve(int argc, char** argv) {
   opts.rollout_fraction = args.get_double("rollout-fraction");
   if (!(opts.rollout_fraction > 0.0 && opts.rollout_fraction <= 1.0))
     throw std::invalid_argument("--rollout-fraction must be in (0, 1]");
+  // The daemon's values are checked here, before the fleet (and under
+  // omniboost the estimator) is set up, not when the daemon starts. The
+  // number parser already refuses nan and inf.
+  const double time_scale = args.get_double("time-scale");
+  if (!(time_scale > 0.0))
+    throw std::invalid_argument("--time-scale must be > 0");
+  const double background_slice_ms = args.get_double("background-slice-ms");
+  if (!(background_slice_ms >= 0.0))
+    throw std::invalid_argument("--background-slice-ms must be >= 0");
+  const std::int64_t listen_port =
+      args.has("listen") ? args.get_int("listen") : 0;
+  if (listen_port < 0 || listen_port > 65535)
+    throw std::invalid_argument("--listen must be a port in 0..65535");
   opts.slo_hard_prune = args.get_flag("slo-hard-prune");
   const std::uint64_t seed = opts.seed;
   const bool as_json = args.get_flag("json");
@@ -721,13 +739,10 @@ int run_serve(int argc, char** argv) {
   // --- Daemon mode: hand the fleet to the live serving loop. Its scenario
   // is whatever its clients send, recorded live and saved via `save-trace`.
   if (args.has("listen")) {
-    const std::int64_t port_raw = args.get_int("listen");
-    if (port_raw < 0 || port_raw > 65535)
-      throw std::invalid_argument("--listen must be a port in 0..65535");
     daemon::DaemonConfig dc;
-    dc.port = static_cast<std::uint16_t>(port_raw);
-    dc.time_scale = args.get_double("time-scale");
-    dc.background_slice_ms = args.get_double("background-slice-ms");
+    dc.port = static_cast<std::uint16_t>(listen_port);
+    dc.time_scale = time_scale;
+    dc.background_slice_ms = background_slice_ms;
     return daemon::run_daemon(zoo, cluster, factory, *policy, dc);
   }
 

@@ -61,33 +61,40 @@ cmake -B "$build_dir" -S "$root" ${OMNIBOOST_CMAKE_FLAGS:-}
 echo "== build ($jobs jobs) =="
 cmake --build "$build_dir" -j "$jobs"
 
-# ISA isolation: gemm_simd.cpp is compiled with -mavx2 -mfma and shares its
-# blocked GEMM with the portable gemm.cpp through gemm_blocked.hpp. A
-# symbol of that header visible outside its object could be merged by the
-# linker with the other TU's copy, putting AVX2 code (SIGILL without the
-# ISA) or FMA-contracted folds (other bits) on the portable path. So the
-# SIMD object may export only its tensor::detail entry points, and no
-# gemm_blocked.hpp name may be global or weak in either object. Only
-# omniboost:: names are checked, so std and sanitizer symbols cannot trip it.
+# ISA isolation. Two GEMM objects are compiled with ISA flags and share the
+# blocked GEMM of the portable gemm.cpp through gemm_blocked.hpp:
+# gemm_simd.cpp (-mavx2 -mfma, kSimd) and gemm_vector.cpp (-mavx2 -mno-fma
+# -ffp-contract=off, kGemm's AVX2 tile). A weak or global symbol of theirs
+# could be merged by the linker with another TU's copy, putting AVX2 code
+# (SIGILL without the ISA) or FMA-contracted folds (other bits) on the
+# portable path. So an ISA-flagged object may export only its
+# tensor::detail entry points (no std:: class member either, such as
+# std::vector<float>'s), and no gemm_blocked.hpp name may be global or weak
+# in any of the three objects. Only names that start with omniboost:: or
+# std:: are checked, so sanitizer symbols cannot trip it. kGemm's bits are
+# fixed by a separately rounded multiply and add (src/tensor/gemm.hpp), so
+# neither kGemm object may hold an FMA.
 echo "== ISA isolation =="
-if command -v nm > /dev/null 2>&1; then
+if command -v nm > /dev/null 2>&1 && command -v objdump > /dev/null 2>&1; then
   objs="$build_dir/CMakeFiles/omniboost.dir/src/tensor"
-  for obj in gemm.cpp.o gemm_simd.cpp.o; do
+  for obj in gemm.cpp.o gemm_simd.cpp.o gemm_vector.cpp.o; do
     [ -f "$objs/$obj" ] || {
       echo "run_tier1.sh: ISA isolation: no $objs/$obj" >&2
       exit 1
     }
   done
-  # Demangled names of the global/weak omniboost:: symbols an object defines.
+  # Demangled names of the global/weak omniboost::/std:: symbols an object
+  # defines.
   exported() {
     nm -C --defined-only "$1" | awk '$2 ~ /^[A-Zu]$/' | cut -d' ' -f3- |
-      grep 'omniboost::' || true
+      grep -E '^(omniboost|std)::' || true
   }
   leaks=$(
-    exported "$objs/gemm_simd.cpp.o" |
-      grep -v '^omniboost::tensor::detail::' || true
-    helpers='omniboost::tensor::(op_at|pack_a|pack_b|fold_tile|blocked_gemm)\b'
-    for obj in gemm.cpp.o gemm_simd.cpp.o; do
+    for obj in gemm_simd.cpp.o gemm_vector.cpp.o; do
+      exported "$objs/$obj" | grep -v '^omniboost::tensor::detail::' || true
+    done
+    helpers='omniboost::tensor::(PackBuffer|op_at|pack_a|pack_b|fold_tile|blocked_gemm)\b'
+    for obj in gemm.cpp.o gemm_simd.cpp.o gemm_vector.cpp.o; do
       exported "$objs/$obj" | grep -E "$helpers" || true
     done
   )
@@ -96,10 +103,19 @@ if command -v nm > /dev/null 2>&1; then
     echo "$leaks" | sort -u >&2
     exit 1
   fi
+  for obj in gemm.cpp.o gemm_vector.cpp.o; do
+    fused=$(objdump -d "$objs/$obj" | grep -cE '[[:space:]]vf(madd|msub|nm)' ||
+      true)
+    if [ "$fused" -ne 0 ]; then
+      echo "run_tier1.sh: $obj holds $fused FMA instruction(s); kGemm" \
+           "must round its multiply and its add separately" >&2
+      exit 1
+    fi
+  done
   echo "ISA isolation: OK"
 else
-  echo "run_tier1.sh: WARNING: nm not found, skipping the ISA isolation" \
-       "check" >&2
+  echo "run_tier1.sh: WARNING: nm/objdump not found, skipping the ISA" \
+       "isolation check" >&2
 fi
 
 echo "== ctest =="
