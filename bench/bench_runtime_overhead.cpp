@@ -29,7 +29,6 @@
 
 #include "nn/kernel.hpp"
 #include "nn/layers.hpp"
-#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "bench_common.hpp"
 
@@ -181,29 +180,22 @@ class D3Gate {
 };
 
 /// One row of the compute-kernel table: an estimator layer timed under the
-/// reference, gemm and simd kernels at the production wave width, with the
-/// max pairwise output deviation proving the lowerings agree (checked by
-/// \p gate). Returns {reference ms, gemm ms, simd ms} so the caller can
-/// publish an aggregate.
-std::array<double, 3> add_kernel_row(util::Table& t, D3Gate& gate,
+/// reference and gemm kernels at the production wave width, with the max
+/// output deviation proving the lowerings agree (checked by \p gate).
+/// Returns {reference ms, gemm ms} so the caller can publish an aggregate.
+std::array<double, 2> add_kernel_row(util::Table& t, D3Gate& gate,
                                      const char* label, nn::Module& ref,
-                                     nn::Module& gemm, nn::Module& simd,
-                                     const tensor::Tensor& x,
+                                     nn::Module& gemm, const tensor::Tensor& x,
                                      std::size_t inner_reps,
                                      std::size_t repeats) {
   ref.set_kernel(nn::KernelKind::kReference);
   gemm.set_kernel(nn::KernelKind::kGemm);
-  simd.set_kernel(nn::KernelKind::kSimd);
   const tensor::Tensor ya = ref.forward(x);
   const tensor::Tensor yb = gemm.forward(x);
-  const tensor::Tensor yc = simd.forward(x);
   double max_delta = 0.0;
-  for (std::size_t i = 0; i < ya.size(); ++i) {
+  for (std::size_t i = 0; i < ya.size(); ++i)
     max_delta = std::max(
         max_delta, std::fabs(static_cast<double>(ya[i]) - yb[i]));
-    max_delta = std::max(
-        max_delta, std::fabs(static_cast<double>(yb[i]) - yc[i]));
-  }
   gate.check(label, max_delta);
 
   const double scale = 1e3 / static_cast<double>(inner_reps);
@@ -213,18 +205,12 @@ std::array<double, 3> add_kernel_row(util::Table& t, D3Gate& gate,
   const TimedRuns gemm_t = timed_runs(repeats, [&] {
     for (std::size_t i = 0; i < inner_reps; ++i) gemm.forward(x);
   });
-  const TimedRuns simd_t = timed_runs(repeats, [&] {
-    for (std::size_t i = 0; i < inner_reps; ++i) simd.forward(x);
-  });
   const double ref_ms = scale * ref_t.min_s;
   const double gemm_ms = scale * gemm_t.min_s;
-  const double simd_ms = scale * simd_t.min_s;
   t.add_row({label, std::to_string(x.extent(0)), util::fmt(ref_ms, 3),
-             util::fmt(gemm_ms, 3), util::fmt(simd_ms, 3),
-             util::fmt(ref_ms / gemm_ms, 2),
-             util::fmt(gemm_ms / simd_ms, 2),
+             util::fmt(gemm_ms, 3), util::fmt(ref_ms / gemm_ms, 2),
              util::fmt(max_delta * 1e6, 3)});
-  return {ref_ms, gemm_ms, simd_ms};
+  return {ref_ms, gemm_ms};
 }
 
 /// Decision latency of one OmniBoost evaluate-path variant: the minimum
@@ -308,11 +294,11 @@ int main(int argc, char** argv) {
 
   // Compute-kernel ablation: every conv stage of the estimator CNN, the
   // inference GELU, the full batched CNN forward, and the end-to-end
-  // decision, each timed under the bit-frozen reference loops, the
-  // im2col+GEMM lowering (rational-tanh GELU), and the runtime-dispatched
-  // SIMD micro-kernels (nn::KernelKind). "max |delta|" certifies equal
-  // results: the largest element-wise output difference across the
-  // lowerings, in units of 1e-6. A row above the D3 tolerance fails the run.
+  // decision, each timed under the bit-frozen reference loops and the
+  // im2col+GEMM lowering with its rational-tanh GELU (nn::KernelKind).
+  // "max |delta|" certifies equal results: the largest element-wise output
+  // difference between the two, in units of 1e-6. A row above the D3
+  // tolerance fails the run.
   D3Gate d3;
   {
     const std::size_t m = ctx().embedding().models_dim();
@@ -320,13 +306,11 @@ int main(int argc, char** argv) {
     const std::size_t wave = 16;  // production expansion-wave width
     const std::size_t kernel_reps = bench::scaled(50, 5);
     const std::size_t kernel_repeats = bench::scaled(5, 2);
-    std::printf("\ncompute kernels, reference vs gemm vs simd (isa: %s; "
-                "batch %zu unless the row says, min of %zu x %zu "
-                "forwards):\n",
-                tensor::simd_isa(), wave, kernel_repeats, kernel_reps);
+    std::printf("\ncompute kernels, reference vs gemm (batch %zu unless "
+                "the row says, min of %zu x %zu forwards):\n",
+                wave, kernel_repeats, kernel_reps);
     util::Table kt({"stage", "batch", "reference (ms)", "gemm (ms)",
-                    "simd (ms)", "ref/gemm", "gemm/simd",
-                    "max |delta| (1e-6)"});
+                    "ref/gemm", "max |delta| (1e-6)"});
 
     struct Stage {
       const char* label;
@@ -340,51 +324,44 @@ int main(int argc, char** argv) {
         {"conv 24->24 (residual)", 24, 24, m / 4, l / 4},
     };
     util::Rng rng(7);
-    double conv_ref_ms = 0.0, conv_gemm_ms = 0.0, conv_simd_ms = 0.0;
+    double conv_ref_ms = 0.0, conv_gemm_ms = 0.0;
     for (const Stage& s : stages) {
-      util::Rng init_a(11), init_b(11), init_c(11);
+      util::Rng init_a(11), init_b(11);
       nn::Conv2d ref(s.in_ch, s.out_ch, 3, 1, 1);
       nn::Conv2d gemm(s.in_ch, s.out_ch, 3, 1, 1);
-      nn::Conv2d simd(s.in_ch, s.out_ch, 3, 1, 1);
       ref.init(init_a);
       gemm.init(init_b);
-      simd.init(init_c);
       tensor::Tensor x({wave, s.in_ch, s.h, s.w});
       for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-      const auto [r_ms, g_ms, s_ms] =
-          add_kernel_row(kt, d3, s.label, ref, gemm, simd, x, kernel_reps,
-                         kernel_repeats);
+      const auto [r_ms, g_ms] = add_kernel_row(kt, d3, s.label, ref, gemm, x,
+                                               kernel_reps, kernel_repeats);
       conv_ref_ms += r_ms;
       conv_gemm_ms += g_ms;
-      conv_simd_ms += s_ms;
     }
     // The headline: all conv-forward work of one batched CNN traversal.
     kt.add_row({"conv forward total (5 stages)", std::to_string(wave),
                 util::fmt(conv_ref_ms, 3), util::fmt(conv_gemm_ms, 3),
-                util::fmt(conv_simd_ms, 3),
-                util::fmt(conv_ref_ms / conv_gemm_ms, 2),
-                util::fmt(conv_gemm_ms / conv_simd_ms, 2), "-"});
+                util::fmt(conv_ref_ms / conv_gemm_ms, 2), "-"});
 
     // The estimator's largest activation: GELU over the stem's output, in
     // inference mode (the only mode with a non-reference lowering).
     {
-      nn::GELU ref, gemm, simd;
-      for (nn::Module* g : {&ref, &gemm, &simd}) g->set_training(false);
+      nn::GELU ref, gemm;
+      for (nn::Module* g : {&ref, &gemm}) g->set_training(false);
       tensor::Tensor x({wave, 8, m, l});
       for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = static_cast<float>(rng.uniform(-4.0, 4.0));
-      add_kernel_row(kt, d3, "GELU forward (inference)", ref, gemm, simd, x,
+      add_kernel_row(kt, d3, "GELU forward (inference)", ref, gemm, x,
                      kernel_reps, kernel_repeats);
     }
 
     // Full CNN forward: one reward query per kernel kind, at the expansion-
     // wave width and at batch 1 (the default cold decision's shape, where
-    // every conv block runs fused under gemm/simd).
+    // every conv block runs fused under gemm).
     {
       const auto ref_est = estimator_clone(nn::KernelKind::kReference);
       const auto gemm_est = estimator_clone(nn::KernelKind::kGemm);
-      const auto simd_est = estimator_clone(nn::KernelKind::kSimd);
       const auto counts = mix().layer_counts(ctx().zoo());
       const tensor::Tensor input = ctx().embedding().masked_input(
           mix(), sim::Mapping::all_on(counts, device::ComponentId::kGpu));
@@ -392,12 +369,9 @@ int main(int argc, char** argv) {
         const std::vector<tensor::Tensor> inputs(batch, input);
         const auto ra = ref_est->predict_rewards(inputs);
         const auto rb = gemm_est->predict_rewards(inputs);
-        const auto rc = simd_est->predict_rewards(inputs);
         double max_delta = 0.0;
-        for (std::size_t i = 0; i < ra.size(); ++i) {
+        for (std::size_t i = 0; i < ra.size(); ++i)
           max_delta = std::max(max_delta, std::fabs(ra[i] - rb[i]));
-          max_delta = std::max(max_delta, std::fabs(rb[i] - rc[i]));
-        }
         const double scale = 1e3 / static_cast<double>(kernel_reps);
         const TimedRuns ref_t = timed_runs(kernel_repeats, [&] {
           for (std::size_t i = 0; i < kernel_reps; ++i)
@@ -407,10 +381,6 @@ int main(int argc, char** argv) {
           for (std::size_t i = 0; i < kernel_reps; ++i)
             gemm_est->predict_rewards(inputs);
         });
-        const TimedRuns simd_t = timed_runs(kernel_repeats, [&] {
-          for (std::size_t i = 0; i < kernel_reps; ++i)
-            simd_est->predict_rewards(inputs);
-        });
         const std::string label =
             batch == 1 ? "estimator CNN forward (batch 1)"
                        : "estimator CNN forward";
@@ -418,9 +388,7 @@ int main(int argc, char** argv) {
         kt.add_row({label, std::to_string(batch),
                     util::fmt(scale * ref_t.min_s, 3),
                     util::fmt(scale * gemm_t.min_s, 3),
-                    util::fmt(scale * simd_t.min_s, 3),
                     util::fmt(ref_t.min_s / gemm_t.min_s, 2),
-                    util::fmt(gemm_t.min_s / simd_t.min_s, 2),
                     util::fmt(max_delta * 1e6, 3)});
       }
     }
@@ -428,12 +396,11 @@ int main(int argc, char** argv) {
     // End-to-end decision under each kernel (same budget as the batching
     // table; wave-width batches, cache on — the production configuration).
     {
-      TimedRuns runs[3];
-      double reward[3];
+      TimedRuns runs[2];
+      double reward[2];
       int i = 0;
       for (const nn::KernelKind kind :
-           {nn::KernelKind::kReference, nn::KernelKind::kGemm,
-            nn::KernelKind::kSimd}) {
+           {nn::KernelKind::kReference, nn::KernelKind::kGemm}) {
         core::OmniBoostConfig cfg;
         cfg.mcts.budget = budget;
         cfg.batch_size = 16;
@@ -445,16 +412,12 @@ int main(int argc, char** argv) {
         reward[i] = r.expected_reward;
         ++i;
       }
-      const double reward_delta =
-          std::max(std::fabs(reward[0] - reward[1]),
-                   std::fabs(reward[1] - reward[2]));
+      const double reward_delta = std::fabs(reward[0] - reward[1]);
       d3.check("decision (500 rollouts)", reward_delta);
       kt.add_row({"decision (500 rollouts)", "16",
                   util::fmt(1e3 * runs[0].min_s, 1),
                   util::fmt(1e3 * runs[1].min_s, 1),
-                  util::fmt(1e3 * runs[2].min_s, 1),
                   util::fmt(runs[0].min_s / runs[1].min_s, 2),
-                  util::fmt(runs[1].min_s / runs[2].min_s, 2),
                   util::fmt(reward_delta * 1e6, 3)});
     }
     bench::report("runtime_overhead_kernels", kt);
@@ -473,8 +436,7 @@ int main(int argc, char** argv) {
     util::Table wt({"kernel", "decisions", "p50 (ms)", "p99 (ms)", "min (ms)",
                     "mean (ms)"});
     for (const nn::KernelKind kind :
-         {nn::KernelKind::kReference, nn::KernelKind::kGemm,
-          nn::KernelKind::kSimd}) {
+         {nn::KernelKind::kReference, nn::KernelKind::kGemm}) {
       core::OmniBoostConfig cfg;
       cfg.mcts.budget = budget;
       cfg.batch_size = 16;

@@ -211,6 +211,10 @@ namespace {
 
 constexpr char kEstimatorMagic[4] = {'O', 'B', 'T', 'E'};
 constexpr std::uint32_t kEstimatorVersion = 1;
+/// Largest embedding extent or channel width load() accepts. It bounds the
+/// network a file can make load() allocate (the default widths are 8, 16
+/// and 24; the built-in zoo's embedding is 11 x 37).
+constexpr std::uint64_t kMaxLoadDim = 1024;
 
 void write_u64(std::ostream& os, std::uint64_t v) {
   unsigned char b[8];
@@ -238,6 +242,28 @@ double read_f64(std::istream& is) {
   double v;
   std::memcpy(&v, &bits, 8);
   return v;
+}
+
+/// read_f64 for a value that must be finite; \p what names it.
+double read_finite_f64(std::istream& is, const char* what) {
+  const double v = read_f64(is);
+  if (!std::isfinite(v)) {
+    throw std::runtime_error(std::string("ThroughputEstimator::load: ") +
+                             what + " is not finite");
+  }
+  return v;
+}
+
+/// read_u64 for a dimension that must lie in [1, kMaxLoadDim].
+std::size_t read_dim(std::istream& is, const char* what) {
+  const std::uint64_t v = read_u64(is);
+  if (v == 0 || v > kMaxLoadDim) {
+    throw std::runtime_error(std::string("ThroughputEstimator::load: ") +
+                             what + " = " + std::to_string(v) +
+                             " is outside [1, " + std::to_string(kMaxLoadDim) +
+                             "]");
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace
@@ -285,22 +311,27 @@ ThroughputEstimator ThroughputEstimator::load(std::istream& is) {
   if (version != kEstimatorVersion) {
     throw std::runtime_error("ThroughputEstimator::load: unsupported version");
   }
-  const std::uint64_t models_dim = read_u64(is);
-  const std::uint64_t layers_dim = read_u64(is);
+  // Everything the constructor allocates by is checked before it runs.
+  const std::size_t models_dim = read_dim(is, "models_dim");
+  const std::size_t layers_dim = read_dim(is, "layers_dim");
   EstimatorConfig config;
-  config.c1 = read_u64(is);
-  config.c2 = read_u64(is);
-  config.c3 = read_u64(is);
+  config.c1 = read_dim(is, "c1");
+  config.c2 = read_dim(is, "c2");
+  config.c3 = read_dim(is, "c3");
   const std::uint64_t flags = read_u64(is);
   config.use_gelu = (flags & 1u) != 0;
   config.log_targets = (flags & 2u) != 0;
-  config.log_scale = read_f64(is);
+  config.log_scale = read_finite_f64(is, "log_scale");
+  if (config.log_targets && config.log_scale <= 0.0) {
+    throw std::runtime_error(
+        "ThroughputEstimator::load: log_scale must be > 0");
+  }
   config.init_seed = read_u64(is);
 
   ThroughputEstimator est(models_dim, layers_dim, config);
   for (util::Affine1D& t : est.target_transform_) {
-    t.shift = read_f64(is);
-    t.scale = read_f64(is);
+    t.shift = read_finite_f64(is, "target transform shift");
+    t.scale = read_finite_f64(is, "target transform scale");
   }
   nn::load_params(*est.net_, is);
   est.trained_ = true;

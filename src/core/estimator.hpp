@@ -109,8 +109,11 @@ class ThroughputEstimator {
   void save(std::ostream& os) const;
   void save_file(const std::string& path) const;
 
-  /// Reconstructs an estimator from a stream written by save(). Throws
-  /// std::runtime_error on malformed input.
+  /// Reconstructs an estimator from a stream written by save(); the stream
+  /// must end there. Throws std::runtime_error on malformed input: a
+  /// dimension outside [1, 1024] (checked before anything is allocated), a
+  /// non-finite log_scale, target transform, parameter or buffer, or
+  /// trailing bytes.
   static ThroughputEstimator load(std::istream& is);
   static ThroughputEstimator load_file(const std::string& path);
 

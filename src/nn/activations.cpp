@@ -1,7 +1,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/gemm_dispatch.hpp"
+#include "nn/epilogue.hpp"
 #include "nn/layers.hpp"
 #include "util/require.hpp"
 

@@ -2,7 +2,7 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/gemm_dispatch.hpp"
+#include "nn/epilogue.hpp"
 #include "nn/layers.hpp"
 #include "tensor/gemm.hpp"
 #include "util/require.hpp"
@@ -65,7 +65,7 @@ Tensor Conv2d::forward(const Tensor& x) {
 Tensor Conv2d::forward_bn_gelu(const Tensor& x, const BatchNorm2d& bn) {
   OB_REQUIRE(kernel_kind_ != KernelKind::kReference && !training() &&
                  !bn.training(),
-             "Conv2d::forward_bn_gelu: inference under kGemm/kSimd only");
+             "Conv2d::forward_bn_gelu: inference under kGemm only");
   OB_REQUIRE(bn.channels() == out_ch_, "BatchNorm2d: channel mismatch");
   return forward_gemm(x, output_for(x), &bn);
 }
@@ -166,9 +166,8 @@ Tensor Conv2d::forward_gemm(const Tensor& x, Tensor y,
     product.resize(out_ch_ * width);
     out = product.data();
   }
-  detail::dispatch_gemm(kernel_kind_, false, false, out_ch_, width, patch,
-                        1.0f, weight_.value.data(), patch, cols.data(), width,
-                        0.0f, out, width);
+  tensor::gemm(false, false, out_ch_, width, patch, 1.0f, weight_.value.data(),
+               patch, cols.data(), width, 0.0f, out, width);
 
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t oc = 0; oc < out_ch_; ++oc) {
@@ -310,17 +309,14 @@ Tensor Conv2d::backward_gemm(const Tensor& grad_out) {
                      cols.data(), pixels);
       colp = cols.data();
     }
-    detail::dispatch_gemm(kernel_kind_, false, true, out_ch_, patch, pixels,
-                          1.0f, gplane, pixels, colp, pixels, 1.0f, gwd,
-                          patch);
+    tensor::gemm(false, true, out_ch_, patch, pixels, 1.0f, gplane, pixels,
+                 colp, pixels, 1.0f, gwd, patch);
     if (identity_cols) {
-      detail::dispatch_gemm(kernel_kind_, true, false, patch, pixels, out_ch_,
-                            1.0f, wd, patch, gplane, pixels, 0.0f, gxplane,
-                            pixels);
+      tensor::gemm(true, false, patch, pixels, out_ch_, 1.0f, wd, patch,
+                   gplane, pixels, 0.0f, gxplane, pixels);
     } else {
-      detail::dispatch_gemm(kernel_kind_, true, false, patch, pixels, out_ch_,
-                            1.0f, wd, patch, gplane, pixels, 0.0f,
-                            gcols.data(), pixels);
+      tensor::gemm(true, false, patch, pixels, out_ch_, 1.0f, wd, patch,
+                   gplane, pixels, 0.0f, gcols.data(), pixels);
       tensor::col2im(gcols.data(), in_ch_, h, w, kernel_, stride_, padding_,
                      gxplane);
     }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "tensor/simd.hpp"
-
 namespace omniboost::nn {
 
 namespace {
@@ -20,8 +18,6 @@ const char* kernel_name(KernelKind kind) {
       return "reference";
     case KernelKind::kGemm:
       return "gemm";
-    case KernelKind::kSimd:
-      return "simd";
   }
   return "?";
 }
@@ -29,25 +25,8 @@ const char* kernel_name(KernelKind kind) {
 KernelKind parse_kernel_name(const std::string& name) {
   if (name == "reference") return KernelKind::kReference;
   if (name == "gemm") return KernelKind::kGemm;
-  if (name == "simd") return KernelKind::kSimd;
   throw std::invalid_argument("unknown kernel '" + name +
-                              "' (reference|gemm|simd)");
-}
-
-KernelKind resolve_kernel(KernelKind requested) {
-  if (requested == KernelKind::kSimd && !tensor::simd_supported()) {
-    return KernelKind::kGemm;
-  }
-  return requested;
-}
-
-std::string kernel_resolution_note(KernelKind requested) {
-  const KernelKind effective = resolve_kernel(requested);
-  if (effective == requested) return {};
-  return std::string("kernel '") + kernel_name(requested) +
-         "' unavailable on this host (SIMD kernels not compiled in or CPU "
-         "lacks AVX2+FMA); using '" +
-         kernel_name(effective) + "'";
+                              "' (reference|gemm)");
 }
 
 }  // namespace omniboost::nn

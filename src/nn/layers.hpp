@@ -36,7 +36,7 @@ class Conv2d final : public Module {
   /// The inference block this -> bn -> GELU in one pass, for a non-
   /// reference kernel in inference mode: the GEMM epilogue adds the bias,
   /// applies bn's running-statistics transform and the rational-tanh GELU
-  /// (the kGemm/kSimd one). Bit-identical to forward(), bn.forward() and
+  /// (the kGemm one). Bit-identical to forward(), bn.forward() and
   /// GELU::forward() in turn; Sequential::forward takes it for every such
   /// run of layers.
   Tensor forward_bn_gelu(const Tensor& x, const BatchNorm2d& bn);
@@ -126,7 +126,7 @@ class BatchNorm2d final : public Module {
 /// Training-mode forward and backward always use the exact scalar
 /// value()/derivative(), whatever the kernel kind; the training forward
 /// also evaluates derivative(), reusing value()'s tanh, and backward only
-/// scales by it. Inference under kGemm or kSimd evaluates tanh with a
+/// scales by it. Inference under kGemm evaluates tanh with a
 /// vectorized rational approximation, within 1e-6 * max(1, |x|) of value();
 /// kReference inference stays on value() (docs/DETERMINISM.md D3).
 /// Inference keeps no backward cache.

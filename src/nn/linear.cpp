@@ -1,7 +1,7 @@
 #include <cmath>
 
-#include "nn/gemm_dispatch.hpp"
 #include "nn/layers.hpp"
+#include "tensor/gemm.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::nn {
@@ -44,8 +44,8 @@ Tensor Linear::forward(const Tensor& x) {
 
   if (kernel_kind_ != KernelKind::kReference) {
     // Y (n x out) = X (n x in) * W^T (in x out), then the bias row.
-    detail::dispatch_gemm(kernel_kind_, false, true, n, out_f_, in_f_, 1.0f,
-                          xd, in_f_, wd, in_f_, 0.0f, yd, out_f_);
+    tensor::gemm(false, true, n, out_f_, in_f_, 1.0f, xd, in_f_, wd, in_f_,
+                 0.0f, yd, out_f_);
     if (has_bias_) {
       for (std::size_t b = 0; b < n; ++b) {
         float* yrow = yd + b * out_f_;
@@ -85,10 +85,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
   if (kernel_kind_ != KernelKind::kReference) {
     // gX (n x in)  = gY (n x out)   * W (out x in)
     // gW (out x in) += gY^T (out x n) * X (n x in)
-    detail::dispatch_gemm(kernel_kind_, false, false, n, in_f_, out_f_, 1.0f,
-                          gd, out_f_, wd, in_f_, 0.0f, gxd, in_f_);
-    detail::dispatch_gemm(kernel_kind_, true, false, out_f_, in_f_, n, 1.0f,
-                          gd, out_f_, xd, in_f_, 1.0f, gwd, in_f_);
+    tensor::gemm(false, false, n, in_f_, out_f_, 1.0f, gd, out_f_, wd, in_f_,
+                 0.0f, gxd, in_f_);
+    tensor::gemm(true, false, out_f_, in_f_, n, 1.0f, gd, out_f_, xd, in_f_,
+                 1.0f, gwd, in_f_);
     if (has_bias_) {
       for (std::size_t b = 0; b < n; ++b) {
         const float* grow = gd + b * out_f_;

@@ -23,27 +23,6 @@ void Optimizer::set_lr(float lr) {
   lr_ = lr;
 }
 
-SGD::SGD(std::vector<Param*> params, float lr, float momentum,
-         float weight_decay)
-    : Optimizer(std::move(params), lr),
-      momentum_(momentum),
-      weight_decay_(weight_decay) {
-  velocity_.reserve(params_.size());
-  for (Param* p : params_) velocity_.emplace_back(p->value.shape());
-}
-
-void SGD::step() {
-  for (std::size_t k = 0; k < params_.size(); ++k) {
-    Param& p = *params_[k];
-    tensor::Tensor& vel = velocity_[k];
-    for (std::size_t i = 0; i < p.value.size(); ++i) {
-      const float g = p.grad[i] + weight_decay_ * p.value[i];
-      vel[i] = momentum_ * vel[i] + g;
-      p.value[i] -= lr_ * vel[i];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps, float weight_decay)
     : Optimizer(std::move(params), lr),

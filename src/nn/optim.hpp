@@ -30,18 +30,6 @@ class Optimizer {
   float lr_;
 };
 
-/// Stochastic gradient descent with classical momentum and L2 weight decay.
-class SGD final : public Optimizer {
- public:
-  SGD(std::vector<Param*> params, float lr, float momentum = 0.0f,
-      float weight_decay = 0.0f);
-  void step() override;
-
- private:
-  float momentum_, weight_decay_;
-  std::vector<tensor::Tensor> velocity_;
-};
-
 /// Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
 class Adam final : public Optimizer {
  public:

@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <istream>
@@ -55,7 +56,10 @@ void write_tensor(std::ostream& os, const tensor::Tensor& t) {
            static_cast<std::streamsize>(t.size() * sizeof(float)));
 }
 
-void read_tensor_into(std::istream& is, tensor::Tensor& t) {
+/// Reads one tensor into \p t, which must already have the stream's shape.
+/// \p kind and \p index name it ("parameter 3") when a value is not finite.
+void read_tensor_into(std::istream& is, tensor::Tensor& t, const char* kind,
+                      std::size_t index) {
   const std::uint64_t rank = read_u64(is);
   if (rank != t.rank()) {
     throw std::runtime_error("nn::load_params: tensor rank mismatch");
@@ -69,6 +73,14 @@ void read_tensor_into(std::istream& is, tensor::Tensor& t) {
   is.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(t.size() * sizeof(float)));
   if (!is) throw std::runtime_error("nn::load_params: truncated payload");
+  const float* values = t.data();
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    if (!std::isfinite(values[i])) {
+      throw std::runtime_error("nn::load_params: non-finite value in " +
+                               std::string(kind) + " " +
+                               std::to_string(index));
+    }
+  }
 }
 
 }  // namespace
@@ -109,7 +121,8 @@ void load_params(Module& module, std::istream& is) {
         std::to_string(count) + ", module " + std::to_string(params.size()) +
         ")");
   }
-  for (Param* p : params) read_tensor_into(is, p->value);
+  for (std::size_t i = 0; i < params.size(); ++i)
+    read_tensor_into(is, params[i]->value, "parameter", i);
 
   const std::vector<tensor::Tensor*> buffers = module.buffers();
   const std::uint64_t buffer_count = read_u64(is);
@@ -118,7 +131,12 @@ void load_params(Module& module, std::istream& is) {
                              std::to_string(buffer_count) + ", module " +
                              std::to_string(buffers.size()) + ")");
   }
-  for (tensor::Tensor* b : buffers) read_tensor_into(is, *b);
+  for (std::size_t i = 0; i < buffers.size(); ++i)
+    read_tensor_into(is, *buffers[i], "buffer", i);
+  if (is.peek() != std::istream::traits_type::eof()) {
+    throw std::runtime_error("nn::load_params: trailing bytes after the "
+                             "last tensor");
+  }
 }
 
 void save_params_file(Module& module, const std::string& path) {

@@ -7,8 +7,9 @@
 /// design-time/run-time split.
 ///
 /// Loading validates that the target module's parameter list matches the
-/// stream (count, shapes) and throws on any mismatch; it never resizes
-/// parameters.
+/// stream (count, shapes), that every value is finite and that the stream
+/// ends after the last tensor, and throws on any violation; it never
+/// resizes parameters.
 
 #include <iosfwd>
 #include <string>
@@ -24,8 +25,9 @@ inline constexpr std::uint32_t kSerializeVersion = 1;
 /// on stream failure.
 void save_params(Module& module, std::ostream& os);
 
-/// Reads parameters from \p is into \p module. Throws std::runtime_error on
-/// malformed input, version/shape mismatch, or stream failure.
+/// Reads parameters from \p is into \p module; \p is must end there.
+/// Throws std::runtime_error on malformed input, version/shape mismatch, a
+/// non-finite value, trailing bytes, or stream failure.
 void load_params(Module& module, std::istream& is);
 
 /// File-path conveniences.

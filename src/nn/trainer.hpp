@@ -48,7 +48,7 @@ struct TrainConfig {
   /// Optional per-epoch learning-rate schedule (overrides \c lr when set;
   /// not owned, must outlive the training run).
   const LrScheduler* lr_schedule = nullptr;
-  /// Design-time parallelism for the per-epoch validation pass. The SGD
+  /// Design-time parallelism for the per-epoch validation pass. The training
   /// loop itself is inherently sequential — step t+1 consumes the weights
   /// step t produced, and BatchNorm's batch statistics couple the samples
   /// of a minibatch — but validation runs in inference mode, where every

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "tensor/gemm_blocked.hpp"
-#include "tensor/simd.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::tensor {
@@ -48,39 +47,29 @@ struct ScalarTile {
   }
 };
 
+/// True iff the running CPU reports AVX2, the ISA gemm_vector.cpp is built
+/// for (without FMA, so AVX2 alone suffices). Checked once per process;
+/// this TU is built without ISA flags so the check itself runs anywhere.
+bool host_has_avx2() {
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  static const bool avx2 = __builtin_cpu_supports("avx2");
+  return avx2;
+#else
+  return false;  // no AVX2 tile off x86, and no portable cpuid elsewhere
+#endif
+}
+
 }  // namespace
 
 namespace detail {
-
-bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                  std::size_t k, float alpha, const float* a, std::size_t lda,
-                  const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc) {
-  OB_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
-             "gemm: null operand");
-  OB_REQUIRE(lda >= (trans_a ? m : k), "gemm: lda too small");
-  OB_REQUIRE(ldb >= (trans_b ? k : n), "gemm: ldb too small");
-  OB_REQUIRE(ldc >= n, "gemm: ldc too small");
-  if (m == 0 || n == 0) return true;
-  if (k != 0 && alpha != 0.0f) return false;
-  // Pure beta-scaling of C (and beta == 0 must overwrite, not multiply).
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * ldc;
-    if (beta == 0.0f) {
-      std::fill(crow, crow + n, 0.0f);
-    } else if (beta != 1.0f) {
-      for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
-    }
-  }
-  return true;
-}
 
 void gemm_portable(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                    std::size_t k, float alpha, const float* a, std::size_t lda,
                    const float* b, std::size_t ldb, float beta, float* c,
                    std::size_t ldc) {
-  blocked_gemm<ScalarTile, kMC, kGemmKC, kNC>(trans_a, trans_b, m, n, k, alpha,
-                                              a, lda, b, ldb, beta, c, ldc);
+  blocked_gemm<ScalarTile, kMC, kNC>(trans_a, trans_b, m, n, k, alpha, a, lda,
+                                     b, ldb, beta, c, ldc);
 }
 
 }  // namespace detail
@@ -89,12 +78,26 @@ void gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
           std::size_t k, float alpha, const float* a, std::size_t lda,
           const float* b, std::size_t ldb, float beta, float* c,
           std::size_t ldc) {
-  if (detail::gemm_trivial(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                           beta, c, ldc))
+  OB_REQUIRE(a != nullptr && b != nullptr && c != nullptr,
+             "gemm: null operand");
+  OB_REQUIRE(lda >= (trans_a ? m : k), "gemm: lda too small");
+  OB_REQUIRE(ldb >= (trans_b ? k : n), "gemm: ldb too small");
+  OB_REQUIRE(ldc >= n, "gemm: ldc too small");
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.0f) {
+    // Pure beta-scaling of C (and beta == 0 must overwrite, not multiply).
+    for (std::size_t i = 0; i < m; ++i) {
+      float* crow = c + i * ldc;
+      if (beta == 0.0f) {
+        std::fill(crow, crow + n, 0.0f);
+      } else if (beta != 1.0f) {
+        for (std::size_t j = 0; j < n; ++j) crow[j] *= beta;
+      }
+    }
     return;
-  // Same arithmetic either way (gemm_vector.cpp); the vector tile only needs
-  // the ISA that simd_supported() has already checked for.
-  if (simd_supported()) {
+  }
+  // Same arithmetic, so the same bits, either way (gemm_vector.cpp).
+  if (host_has_avx2()) {
     detail::gemm_vector_kernel(trans_a, trans_b, m, n, k, alpha, a, lda, b,
                                ldb, beta, c, ldc);
   } else {

@@ -6,9 +6,9 @@
 /// recipe). These primitives exist so nn::Conv2d / nn::Linear can route
 /// their forward AND backward passes through one tuned inner loop instead
 /// of per-layer nested loops (nn::KernelKind::kGemm). The blocked loop nest
-/// (packing, block loops, alpha/beta fold) is one copy, shared with the SIMD
-/// path (simd.hpp) through the internal gemm_blocked.hpp; each kernel keeps
-/// only its block sizes and its register micro-tile.
+/// (packing, block loops, alpha/beta fold) is one copy, the internal
+/// gemm_blocked.hpp; each of gemm()'s two tiles keeps only its block sizes
+/// and its register micro-tile.
 ///
 /// Determinism contract: gemm()'s bits are defined by its arithmetic, not by
 /// the tile that runs it. For each output element, k is taken in ascending
@@ -16,11 +16,12 @@
 /// running sum restarts from +0 at every kGemmKC-wide k-block, and each
 /// block is folded into C as alpha * sum (plus beta * C on the first block,
 /// or onto C after it). Two tiles implement it: the portable 4x8 tile
-/// (gemm_portable) and an 8-wide AVX2 tile (gemm_vector.cpp) entered behind
-/// simd_supported(). So results are bit-identical run to run AND host to
-/// host. The order differs from a naive k-loop, so results may differ from
-/// the reference kernels by float-rounding only (|delta| well under 1e-6
-/// for the estimator's value ranges — pinned by tests/nn_kernel_test.cpp).
+/// (gemm_portable) and an 8-wide AVX2 tile (gemm_vector.cpp) that gemm()
+/// enters when the running CPU reports AVX2. So results are bit-identical
+/// run to run AND host to host. The order differs from a naive k-loop, so
+/// results may differ from the reference kernels by float-rounding only
+/// (|delta| well under 1e-6 for the estimator's value ranges — pinned by
+/// tests/nn_kernel_test.cpp).
 
 #include <algorithm>
 #include <cstddef>
@@ -46,21 +47,11 @@ namespace detail {
 /// restarts at each block), so every tile that runs gemm() uses it.
 inline constexpr std::size_t kGemmKC = 128;
 
-/// The argument checks and trivial cases of gemm() and gemm_simd(): throws
-/// on a null operand or a too-small stride, then returns true iff the call
-/// is already complete — m == 0 or n == 0 (no-op), or k == 0 or
-/// alpha == 0 (C scaled by beta; beta == 0 overwrites, NaN-safe). On false
-/// the caller runs its blocked GEMM.
-bool gemm_trivial(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                  std::size_t k, float alpha, const float* a, std::size_t lda,
-                  const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc);
-
 /// gemm()'s blocked driver on the portable 4x8 tile, and the same
 /// arithmetic on the AVX2 tile (which runs gemm_portable on targets built
-/// without it). Like gemm_simd_kernel, these skip gemm_trivial(): call them
-/// only with m, n, k > 0 and alpha != 0. gemm_vector_kernel also requires
-/// simd_supported().
+/// without it). These skip gemm()'s argument checks and trivial cases:
+/// call them only with m, n, k > 0 and alpha != 0. gemm_vector_kernel also
+/// requires a CPU with AVX2.
 void gemm_portable(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                    std::size_t k, float alpha, const float* a, std::size_t lda,
                    const float* b, std::size_t ldb, float beta, float* c,

@@ -1,11 +1,12 @@
 /// \file gemm_vector.cpp
 /// kGemm's arithmetic on 8-wide AVX lanes. tensor::gemm enters this TU when
-/// simd_supported() (the cpuid gate in simd.cpp); everywhere else it runs
-/// the portable 4x8 tile in gemm.cpp (detail::gemm_portable). Both tiles do
-/// the same arithmetic, so tensor::gemm gives the same bits on every host:
-/// for each output element, k in ascending order, a separately rounded
-/// multiply then an add, restarting from +0 at every kGemmKC-wide k-block,
-/// each block folded through fold_tile's operations in fold_tile's order.
+/// the running CPU reports AVX2 (the cpuid gate in gemm.cpp); everywhere
+/// else it runs the portable 4x8 tile in gemm.cpp (detail::gemm_portable).
+/// Both tiles do the same arithmetic, so tensor::gemm gives the same bits on
+/// every host: for each output element, k in ascending order, a separately
+/// rounded multiply then an add, restarting from +0 at every kGemmKC-wide
+/// k-block, each block folded through fold_tile's operations in fold_tile's
+/// order.
 ///
 /// Compiled with -mavx2 -mno-fma -ffp-contract=off (CMake applies them to
 /// this source only). The hazard is FMA contraction: a fused multiply-add
@@ -107,8 +108,8 @@ void gemm_vector_kernel(bool trans_a, bool trans_b, std::size_t m,
                         const float* a, std::size_t lda, const float* b,
                         std::size_t ldb, float beta, float* c,
                         std::size_t ldc) {
-  blocked_gemm<VectorTile, kMC, kGemmKC, kNC>(trans_a, trans_b, m, n, k, alpha,
-                                              a, lda, b, ldb, beta, c, ldc);
+  blocked_gemm<VectorTile, kMC, kNC>(trans_a, trans_b, m, n, k, alpha, a, lda,
+                                     b, ldb, beta, c, ldc);
 }
 
 #else  // no AVX2 section on this target/compiler: the portable tile

@@ -409,6 +409,37 @@ TEST(CliFlags, DaemonValuesFailBeforeSetup) {
                                  "--listen must be a port in 0..65535");
 }
 
+TEST(CliFlags, UnknownKernelFailsAtTheFlag) {
+  // reference and gemm are the only kernels; a removed or misspelt one must
+  // exit 2 before any setup, with no fallback to another kernel.
+  for (const char* kernel : {"simd", "avx2"})
+    expect_serve_fails_at_the_flag(
+        std::string("--scheduler greedy --kernel ") + kernel,
+        std::string("unknown kernel '") + kernel + "' (reference|gemm)");
+}
+
+TEST(CliFlags, BadEstimatorFileFailsAtTheFlag) {
+  // A non-finite value in an estimator file used to load and run on (a NaN
+  // payload printed a wrong speedup and exited 0). Here: a valid header
+  // whose log_scale is NaN.
+  const std::string path = ::testing::TempDir() + "ob_bad_estimator.bin";
+  {
+    std::ofstream os(path, std::ios::binary);
+    os.write("OBTE", 4);
+    const auto u64 = [&os](std::uint64_t v) {
+      for (int i = 0; i < 8; ++i) os.put(static_cast<char>(v >> (8 * i)));
+    };
+    // version, models_dim, layers_dim, c1, c2, c3, flags, then log_scale
+    for (const std::uint64_t v : {1, 11, 37, 8, 16, 24, 3}) u64(v);
+    u64(0x7ff8000000000000u);  // quiet NaN
+  }
+  expect_serve_fails_at_the_flag(
+      "--estimator-file " + path,
+      "--estimator-file " + path +
+          ": ThroughputEstimator::load: log_scale is not finite");
+  std::remove(path.c_str());
+}
+
 TEST(CliFlags, BadDeviceProfileFailsAtTheFlag) {
   // An out-of-range profile value used to run on (a negative GPU peak gave
   // a "speedup") or die in a simulator invariant (a nan peak, exit 1).

@@ -84,8 +84,7 @@ TEST(PredictBatch, MatchesPerSamplePredictAcrossZooModels) {
   }
 
   for (const nn::KernelKind kind :
-       {nn::KernelKind::kReference, nn::KernelKind::kGemm,
-        nn::KernelKind::kSimd}) {
+       {nn::KernelKind::kReference, nn::KernelKind::kGemm}) {
     est.set_kernel(kind);
     const auto batched = est.predict_batch(inputs);
     const auto rewards = est.predict_rewards(inputs);

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/estimator.hpp"
 #include "nn/loss.hpp"
@@ -133,6 +137,96 @@ TEST(EstimatorIO, RejectsForeignAndTruncatedStreams) {
   bytes.resize(bytes.size() - 64);
   std::stringstream cut(bytes);
   EXPECT_THROW(ThroughputEstimator::load(cut), std::runtime_error);
+}
+
+// Byte offsets in the saved header: magic (4), version, models_dim,
+// layers_dim, c1, c2, c3, flags (8 each), log_scale, init_seed, then three
+// (shift, scale) target transforms; the network's parameters follow.
+constexpr std::size_t kDimsAt = 12;  // models_dim, layers_dim, c1, c2, c3
+constexpr std::size_t kLogScaleAt = 60;
+constexpr std::size_t kTransformsAt = 76;
+constexpr std::size_t kParamsAt = 124;
+
+/// The saved form of a trained estimator (trained once per test binary).
+const std::string& saved_bytes() {
+  static const std::string bytes = [] {
+    std::stringstream buf;
+    make_trained(13).save(buf);
+    return buf.str();
+  }();
+  return bytes;
+}
+
+/// Loads \p bytes and returns the error message ("" if it loaded).
+std::string load_error(const std::string& bytes) {
+  std::stringstream in(bytes);
+  try {
+    ThroughputEstimator::load(in);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+template <typename T>
+std::string with_value_at(std::string bytes, std::size_t at, T value) {
+  std::memcpy(&bytes[at], &value, sizeof value);
+  return bytes;
+}
+
+TEST(EstimatorIO, RejectsNonFiniteValues) {
+  ASSERT_EQ(load_error(saved_bytes()), "");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_NE(load_error(with_value_at(saved_bytes(), kLogScaleAt, bad))
+                  .find("log_scale is not finite"),
+              std::string::npos);
+    for (std::size_t t = 0; t < 6; ++t) {
+      EXPECT_NE(load_error(with_value_at(saved_bytes(), kTransformsAt + 8 * t,
+                                         bad))
+                    .find("target transform"),
+                std::string::npos)
+          << "transform field " << t;
+    }
+  }
+  EXPECT_NE(load_error(with_value_at(saved_bytes(), kLogScaleAt, 0.0))
+                .find("log_scale must be > 0"),
+            std::string::npos);
+  // A NaN payload: the network's first weight (after the OBNN magic,
+  // version, count, and the stem conv's rank and 4 extents), and the
+  // stream's last float (the last BatchNorm's running variance).
+  const float fnan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_NE(load_error(with_value_at(saved_bytes(), kParamsAt + 56, fnan))
+                .find("non-finite value in parameter 0"),
+            std::string::npos);
+  const std::size_t last = saved_bytes().size() - sizeof(float);
+  EXPECT_NE(load_error(with_value_at(saved_bytes(), last, fnan))
+                .find("non-finite value in buffer"),
+            std::string::npos);
+}
+
+TEST(EstimatorIO, RejectsTrailingBytes) {
+  EXPECT_NE(load_error(saved_bytes() + "x").find("trailing bytes"),
+            std::string::npos);
+}
+
+TEST(EstimatorIO, RejectsAHugeHeaderDimBeforeAllocating) {
+  // 2^60 channels would overflow the weight tensor's size; the bound must
+  // refuse it (a std::runtime_error naming the field) before the network
+  // is built, not leave it to the allocator.
+  const char* names[] = {"models_dim", "layers_dim", "c1", "c2", "c3"};
+  for (std::size_t f = 0; f < 5; ++f) {
+    for (const std::uint64_t dim : {std::uint64_t{0}, std::uint64_t{1025},
+                                    std::uint64_t{1} << 60}) {
+      const std::string error =
+          load_error(with_value_at(saved_bytes(), kDimsAt + 8 * f, dim));
+      EXPECT_NE(error.find(std::string(names[f]) + " = " +
+                           std::to_string(dim) + " is outside [1, 1024]"),
+                std::string::npos)
+          << error;
+    }
+  }
 }
 
 TEST(EstimatorIO, MissingFileThrows) {

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <vector>
@@ -41,7 +42,7 @@ class DecayLr final : public nn::LrScheduler {
 
 TEST(LrSchedulers, ApplyDrivesOptimizer) {
   nn::Param p({tensor::Shape{1}});
-  nn::SGD opt({&p}, 1.0f);
+  nn::Adam opt({&p}, 1.0f);
   DecayLr sched(1.0f, 0.5f);
   sched.apply(opt, 3);
   EXPECT_FLOAT_EQ(opt.lr(), 0.125f);
@@ -135,6 +136,30 @@ TEST(Serialize, RejectsArchitectureMismatch) {
   std::stringstream buf;
   nn::save_params(*small, buf);
   EXPECT_THROW(nn::load_params(*other, buf), std::runtime_error);
+}
+
+TEST(Serialize, RejectsNonFiniteValuesAndTrailingBytes) {
+  auto net = make_net(1);
+  std::stringstream buf;
+  nn::save_params(*net, buf);
+  const std::string bytes = buf.str();
+  // The stream ends with the last buffer's payload (BatchNorm running
+  // variance): make its last float NaN, then infinite.
+  for (const float bad : {std::nanf(""), INFINITY}) {
+    std::string corrupt = bytes;
+    std::memcpy(&corrupt[corrupt.size() - sizeof bad], &bad, sizeof bad);
+    std::stringstream in(corrupt);
+    try {
+      nn::load_params(*net, in);
+      ADD_FAILURE() << "non-finite value " << bad << " was loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("non-finite value in buffer"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::stringstream longer(bytes + '\0');
+  EXPECT_THROW(nn::load_params(*net, longer), std::runtime_error);
 }
 
 TEST(Serialize, FileRoundTrip) {

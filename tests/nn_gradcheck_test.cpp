@@ -34,13 +34,10 @@ void expect_gradients_ok(Module& m, const Tensor& x, Rng& rng,
   EXPECT_LT(r.max_param_err, tol) << "parameter gradient mismatch";
 }
 
-/// Every lowering of a multi-kernel layer must pass the same checks
+/// Both lowerings of a multi-kernel layer must pass the same checks
 /// (nn/kernel.hpp: reference is the bit-frozen paper path, gemm the
-/// im2col+GEMM lowering, simd the runtime-dispatched micro-kernel path —
-/// which silently degrades to gemm on hosts without the ISA, so the simd
-/// entry is always checkable).
-const KernelKind kBothKernels[] = {KernelKind::kReference, KernelKind::kGemm,
-                                   KernelKind::kSimd};
+/// im2col+GEMM lowering).
+const KernelKind kBothKernels[] = {KernelKind::kReference, KernelKind::kGemm};
 
 struct ConvCase {
   std::size_t in_ch, out_ch, kernel, stride, pad, h, w;

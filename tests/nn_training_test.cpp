@@ -45,29 +45,6 @@ TEST(Dataset, SplitTail) {
   EXPECT_THROW(d.split_tail(11), std::invalid_argument);
 }
 
-TEST(SGD, SingleStepMatchesHandComputation) {
-  Param p({2});
-  p.value[0] = 1.0f;
-  p.value[1] = -1.0f;
-  p.grad[0] = 0.5f;
-  p.grad[1] = -0.25f;
-  SGD opt({&p}, /*lr=*/0.1f);
-  opt.step();
-  EXPECT_FLOAT_EQ(p.value[0], 1.0f - 0.1f * 0.5f);
-  EXPECT_FLOAT_EQ(p.value[1], -1.0f + 0.1f * 0.25f);
-}
-
-TEST(SGD, MomentumAccumulates) {
-  Param p({1});
-  p.value[0] = 0.0f;
-  SGD opt({&p}, 0.1f, /*momentum=*/0.9f);
-  p.grad[0] = 1.0f;
-  opt.step();  // v=1, x=-0.1
-  p.grad[0] = 1.0f;
-  opt.step();  // v=1.9, x=-0.29
-  EXPECT_NEAR(p.value[0], -0.29f, 1e-6f);
-}
-
 TEST(Adam, FirstStepIsLrSized) {
   Param p({1});
   p.value[0] = 0.0f;
@@ -92,17 +69,17 @@ TEST(Adam, ConvergesOnQuadratic) {
 TEST(Optimizer, ZeroGradClears) {
   Param p({2});
   p.grad.fill(5.0f);
-  SGD opt({&p}, 0.1f);
+  Adam opt({&p}, 0.1f);
   opt.zero_grad();
   EXPECT_EQ(p.grad[0], 0.0f);
   EXPECT_EQ(p.grad[1], 0.0f);
 }
 
 TEST(Optimizer, RejectsEmptyOrNull) {
-  EXPECT_THROW(SGD({}, 0.1f), std::invalid_argument);
-  EXPECT_THROW(SGD({nullptr}, 0.1f), std::invalid_argument);
+  EXPECT_THROW(Adam({}, 0.1f), std::invalid_argument);
+  EXPECT_THROW(Adam({nullptr}, 0.1f), std::invalid_argument);
   Param p({1});
-  EXPECT_THROW(SGD({&p}, 0.0f), std::invalid_argument);
+  EXPECT_THROW(Adam({&p}, 0.0f), std::invalid_argument);
 }
 
 /// Builds a linear regression dataset y = Wx + b with noise.

@@ -8,12 +8,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "tensor/gemm.hpp"
-#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -179,7 +177,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TensorAlgebraProperty,
 using omniboost::tensor::col2im;
 using omniboost::tensor::conv_out_extent;
 using omniboost::tensor::gemm;
-using omniboost::tensor::gemm_simd;
 using omniboost::tensor::im2col;
 using omniboost::tensor::matmul;
 
@@ -209,27 +206,14 @@ void naive_gemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   }
 }
 
-/// Both GEMM entry points: the portable blocked kernel and the SIMD path
-/// (which runs the scalar kernel on hosts without the ISA).
-using GemmFn = void (*)(bool, bool, std::size_t, std::size_t, std::size_t,
-                        float, const float*, std::size_t, const float*,
-                        std::size_t, float, float*, std::size_t);
-struct GemmEntry {
-  const char* name;
-  GemmFn fn;
-};
-const GemmEntry kGemmEntries[] = {{"gemm", &gemm}, {"gemm_simd", &gemm_simd}};
-
 struct GemmCase {
   std::size_t m, n, k;
 };
 
-class GemmSweep
-    : public ::testing::TestWithParam<std::tuple<GemmEntry, GemmCase>> {};
+class GemmSweep : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
-  const GemmFn fn = std::get<0>(GetParam()).fn;
-  const GemmCase g = std::get<1>(GetParam());
+  const GemmCase g = GetParam();
   omniboost::util::Rng rng(g.m * 131 + g.n * 17 + g.k);
   for (const bool ta : {false, true}) {
     for (const bool tb : {false, true}) {
@@ -241,8 +225,8 @@ TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
       Tensor got({g.m, g.n});
       naive_gemm(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
                  b.extent(1), 0.0f, want.data(), g.n);
-      fn(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
-         b.extent(1), 0.0f, got.data(), g.n);
+      gemm(ta, tb, g.m, g.n, g.k, 1.0f, a.data(), a.extent(1), b.data(),
+           b.extent(1), 0.0f, got.data(), g.n);
       for (std::size_t i = 0; i < want.size(); ++i)
         ASSERT_NEAR(want[i], got[i], 1e-4)
             << "ta=" << ta << " tb=" << tb << " element " << i;
@@ -250,27 +234,24 @@ TEST_P(GemmSweep, MatchesNaiveReferenceUnderAllTransposes) {
   }
 }
 
-// Spans the micro-tile (scalar 4x8, kGemm's AVX2 2x24, SIMD 6x16) and
-// cache-block (scalar 64/128/256, SIMD 96/256/256 for MC/KC/NC) boundaries
-// and their off-by-one neighbours, plus degenerate single-row/column shapes.
-// {7,17,257} and up take a second SIMD k-block; {97,272,300} and
-// {130,513,520} also cross its m and n blocks.
+// Spans the micro-tile (portable 4x8, AVX2 2x24) and cache-block (MC 64,
+// KC 128, NC 256 / 264) boundaries and their off-by-one neighbours, plus
+// degenerate single-row/column shapes. {65,33,129} and up take a second
+// k-block; {97,272,300} and {130,513,520} also cross the m and n blocks.
 const GemmCase kGemmSweepShapes[] = {
     {1, 1, 1},      {1, 16, 3},     {4, 16, 8},     {5, 17, 9},
     {3, 1, 12},     {8, 90, 27},    {24, 396, 216}, {65, 33, 129},
     {64, 256, 128}, {67, 259, 131}, {6, 16, 256},   {7, 17, 257},
     {97, 272, 300}, {130, 513, 520}};
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, GemmSweep,
-    ::testing::Combine(::testing::ValuesIn(kGemmEntries),
-                       ::testing::ValuesIn(kGemmSweepShapes)),
-    [](const auto& param_info) {
-      const GemmCase g = std::get<1>(param_info.param);
-      return std::string(std::get<0>(param_info.param).name) + "_" +
-             std::to_string(g.m) + "x" + std::to_string(g.n) + "x" +
-             std::to_string(g.k);
-    });
+INSTANTIATE_TEST_SUITE_P(Shapes, GemmSweep,
+                         ::testing::ValuesIn(kGemmSweepShapes),
+                         [](const auto& param_info) {
+                           const GemmCase g = param_info.param;
+                           return "gemm_" + std::to_string(g.m) + "x" +
+                                  std::to_string(g.n) + "x" +
+                                  std::to_string(g.k);
+                         });
 
 std::uint32_t float_bits(float x) {
   std::uint32_t u = 0;
@@ -279,7 +260,7 @@ std::uint32_t float_bits(float x) {
 }
 
 TEST(Gemm, VectorTileIsThePortableTileBitForBit) {
-  // tensor::gemm runs an AVX2 tile where simd_supported() and the portable
+  // tensor::gemm runs an AVX2 tile on AVX2 hosts and the portable
   // 4x8 tile elsewhere. Both do gemm.hpp's arithmetic, so gemm's bits must
   // not depend on the host. (Without the ISA both sides run the portable
   // tile and this holds trivially.)
@@ -325,9 +306,7 @@ TEST(Gemm, VectorTileIsThePortableTileBitForBit) {
   }
 }
 
-class GemmEntryTest : public ::testing::TestWithParam<GemmEntry> {};
-
-TEST_P(GemmEntryTest, AlphaBetaSemantics) {
+TEST(Gemm, AlphaBetaSemantics) {
   omniboost::util::Rng rng(77);
   const Tensor a = random_tensor({3, 4}, rng);
   const Tensor b = random_tensor({4, 5}, rng);
@@ -335,35 +314,29 @@ TEST_P(GemmEntryTest, AlphaBetaSemantics) {
   Tensor want = c;
   naive_gemm(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f,
              want.data(), 5);
-  GetParam().fn(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f,
-                c.data(), 5);
+  gemm(false, false, 3, 5, 4, 0.5f, a.data(), 4, b.data(), 5, 1.5f, c.data(),
+       5);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], want[i], 1e-4);
 }
 
-TEST_P(GemmEntryTest, BetaZeroOverwritesNaN) {
+TEST(Gemm, BetaZeroOverwritesNaN) {
   // beta == 0 must overwrite even NaN garbage in C (0 * NaN != 0).
   const Tensor a({2, 2}, 1.0f);
   const Tensor b({2, 2}, 1.0f);
   Tensor c({2, 2}, std::numeric_limits<float>::quiet_NaN());
-  GetParam().fn(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f,
-                c.data(), 2);
+  gemm(false, false, 2, 2, 2, 1.0f, a.data(), 2, b.data(), 2, 0.0f, c.data(),
+       2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 2.0f);
 }
 
-TEST_P(GemmEntryTest, KZeroScalesByBeta) {
+TEST(Gemm, KZeroScalesByBeta) {
   const Tensor a({2, 1}, 1.0f);
   const Tensor b({1, 2}, 1.0f);
   Tensor c({2, 2}, 3.0f);
-  GetParam().fn(false, false, 2, 2, 0, 1.0f, a.data(), 1, b.data(), 2, 0.5f,
-                c.data(), 2);
+  gemm(false, false, 2, 2, 0, 1.0f, a.data(), 1, b.data(), 2, 0.5f, c.data(),
+       2);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c[i], 1.5f);
 }
-
-INSTANTIATE_TEST_SUITE_P(Entries, GemmEntryTest,
-                         ::testing::ValuesIn(kGemmEntries),
-                         [](const auto& param_info) {
-                           return std::string(param_info.param.name);
-                         });
 
 TEST(Gemm, BitDeterministicRunToRun) {
   omniboost::util::Rng rng(5);

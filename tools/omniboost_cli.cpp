@@ -219,10 +219,9 @@ void declare_common_options(util::ArgParser& args) {
       .option("samples", "estimator training workloads", "500")
       .option("epochs", "estimator training epochs", "100")
       .option("kernel",
-              "compute kernel for the estimator CNN: gemm (fast), simd "
-              "(runtime-dispatched AVX2/NEON micro-kernels; degrades to "
-              "gemm on hosts without the ISA) or reference (the paper's "
-              "bit-frozen loops)",
+              "compute kernel for the estimator CNN: gemm (fast; same "
+              "bits on every host) or reference (the paper's bit-frozen "
+              "loops)",
               "gemm")
       .option("design-workers",
               "design-time parallelism (dataset generation + validation); "
@@ -236,15 +235,10 @@ void declare_common_options(util::ArgParser& args) {
               "board profile (INI) instead of the built-in HiKey970");
 }
 
-/// Applies --kernel: parses the requested kernel, reports a downgrade
-/// (simd on a host without the ISA) on stderr — stderr so --json stdout
-/// stays parseable — and installs the effective kernel as the process-wide
-/// default before any network is built.
+/// Applies --kernel: installs it as the process-wide default before any
+/// network is built (an unknown name exits 2).
 void apply_kernel_option(const util::ArgParser& args) {
-  const nn::KernelKind requested = nn::parse_kernel_name(args.get("kernel"));
-  const std::string note = nn::kernel_resolution_note(requested);
-  if (!note.empty()) std::fprintf(stderr, "note: %s\n", note.c_str());
-  nn::set_default_kernel(nn::resolve_kernel(requested));
+  nn::set_default_kernel(nn::parse_kernel_name(args.get("kernel")));
 }
 
 /// Board model selection shared by both modes.
@@ -266,8 +260,14 @@ std::shared_ptr<const core::ThroughputEstimator> prepare_estimator(
     const sim::DesSimulator& board, bool quiet) {
   if (args.has("estimator-file")) {
     const std::string est_path = args.get("estimator-file");
-    auto estimator = std::make_shared<const core::ThroughputEstimator>(
-        core::ThroughputEstimator::load_file(est_path));
+    std::shared_ptr<const core::ThroughputEstimator> estimator;
+    try {
+      estimator = std::make_shared<const core::ThroughputEstimator>(
+          core::ThroughputEstimator::load_file(est_path));
+    } catch (const std::exception& e) {
+      throw std::invalid_argument("--estimator-file " + est_path + ": " +
+                                  e.what());
+    }
     if (!quiet) std::printf("loaded estimator from %s\n", est_path.c_str());
     return estimator;
   }

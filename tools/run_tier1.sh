@@ -16,13 +16,6 @@
 #                  once) and ANY failure fails the script; the emitted
 #                  BENCH_*.json set is then validated by
 #                  tools/check_bench_json.py.
-#   --require-simd Implies nothing extra at build time, but after the bench
-#                  JSON guard asserts BENCH_runtime_overhead_kernels.json
-#                  carries a populated "simd (ms)" column (the kernels table
-#                  must include the runtime-dispatched SIMD path). Use on
-#                  hosts known to matter for the kernels comparison; without
-#                  the flag a bench that silently dropped the simd column
-#                  would still pass. Requires --bench-smoke.
 #
 # Environment:
 #   OMNIBOOST_BUILD_DIR    build directory (default <repo>/build)
@@ -33,18 +26,12 @@
 set -eu
 
 bench_smoke=0
-require_simd=0
 for arg in "$@"; do
   case "$arg" in
     --bench-smoke) bench_smoke=1 ;;
-    --require-simd) require_simd=1 ;;
     *) echo "run_tier1.sh: unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
-if [ "$require_simd" -eq 1 ] && [ "$bench_smoke" -eq 0 ]; then
-  echo "run_tier1.sh: --require-simd requires --bench-smoke" >&2
-  exit 2
-fi
 
 root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir="${OMNIBOOST_BUILD_DIR:-$root/build}"
@@ -61,45 +48,44 @@ cmake -B "$build_dir" -S "$root" ${OMNIBOOST_CMAKE_FLAGS:-}
 echo "== build ($jobs jobs) =="
 cmake --build "$build_dir" -j "$jobs"
 
-# ISA isolation. Two GEMM objects are compiled with ISA flags and share the
-# blocked GEMM of the portable gemm.cpp through gemm_blocked.hpp:
-# gemm_simd.cpp (-mavx2 -mfma, kSimd) and gemm_vector.cpp (-mavx2 -mno-fma
-# -ffp-contract=off, kGemm's AVX2 tile). A weak or global symbol of theirs
+# ISA isolation. gemm_vector.cpp (kGemm's AVX2 tile) is compiled with
+# -mavx2 -mno-fma -ffp-contract=off and shares the blocked GEMM of the
+# portable gemm.cpp through gemm_blocked.hpp. A weak or global symbol of its
 # could be merged by the linker with another TU's copy, putting AVX2 code
-# (SIGILL without the ISA) or FMA-contracted folds (other bits) on the
-# portable path. So an ISA-flagged object may export only its
-# tensor::detail entry points (no std:: class member either, such as
-# std::vector<float>'s), and no gemm_blocked.hpp name may be global or weak
-# in any of the three objects. Only names that start with omniboost:: or
-# std:: are checked, so sanitizer symbols cannot trip it. kGemm's bits are
-# fixed by a separately rounded multiply and add (src/tensor/gemm.hpp), so
-# neither kGemm object may hold an FMA.
+# (SIGILL without the ISA) on the portable path. So that object may export
+# only its tensor::detail entry point (no std:: template either, such as
+# std::vector<float>'s members or std::min<unsigned long>), and no
+# gemm_blocked.hpp name may be global or weak in either object. Only C++
+# names (mangled _Z...) are checked, so sanitizer symbols cannot trip it;
+# they are demangled after selection, because a demangled template name
+# starts with its return type. kGemm's bits are fixed by a separately
+# rounded multiply and add (src/tensor/gemm.hpp), so neither object may
+# hold an FMA.
 echo "== ISA isolation =="
-if command -v nm > /dev/null 2>&1 && command -v objdump > /dev/null 2>&1; then
+if command -v nm > /dev/null 2>&1 && command -v objdump > /dev/null 2>&1 &&
+   command -v c++filt > /dev/null 2>&1; then
   objs="$build_dir/CMakeFiles/omniboost.dir/src/tensor"
-  for obj in gemm.cpp.o gemm_simd.cpp.o gemm_vector.cpp.o; do
+  for obj in gemm.cpp.o gemm_vector.cpp.o; do
     [ -f "$objs/$obj" ] || {
       echo "run_tier1.sh: ISA isolation: no $objs/$obj" >&2
       exit 1
     }
   done
-  # Demangled names of the global/weak omniboost::/std:: symbols an object
-  # defines.
+  # Demangled names of the global/weak C++ symbols an object defines.
   exported() {
-    nm -C --defined-only "$1" | awk '$2 ~ /^[A-Zu]$/' | cut -d' ' -f3- |
-      grep -E '^(omniboost|std)::' || true
+    nm --defined-only "$1" | awk '$2 ~ /^[A-Zu]$/ && $3 ~ /^_Z/ { print $3 }' |
+      c++filt
   }
   leaks=$(
-    for obj in gemm_simd.cpp.o gemm_vector.cpp.o; do
-      exported "$objs/$obj" | grep -v '^omniboost::tensor::detail::' || true
-    done
-    helpers='omniboost::tensor::(PackBuffer|op_at|pack_a|pack_b|fold_tile|blocked_gemm)\b'
-    for obj in gemm.cpp.o gemm_simd.cpp.o gemm_vector.cpp.o; do
+    exported "$objs/gemm_vector.cpp.o" |
+      grep -v '^omniboost::tensor::detail::' || true
+    helpers='omniboost::tensor::(PackBuffer|min_size|op_at|pack_a|pack_b|fold_tile|blocked_gemm)\b'
+    for obj in gemm.cpp.o gemm_vector.cpp.o; do
       exported "$objs/$obj" | grep -E "$helpers" || true
     done
   )
   if [ -n "$leaks" ]; then
-    echo "run_tier1.sh: symbols escape the ISA-flagged GEMM objects:" >&2
+    echo "run_tier1.sh: symbols escape the AVX2-flagged GEMM object:" >&2
     echo "$leaks" | sort -u >&2
     exit 1
   fi
@@ -114,8 +100,8 @@ if command -v nm > /dev/null 2>&1 && command -v objdump > /dev/null 2>&1; then
   done
   echo "ISA isolation: OK"
 else
-  echo "run_tier1.sh: WARNING: nm/objdump not found, skipping the ISA" \
-       "isolation check" >&2
+  echo "run_tier1.sh: WARNING: nm/objdump/c++filt not found, skipping the" \
+       "ISA isolation check" >&2
 fi
 
 echo "== ctest =="
@@ -279,30 +265,10 @@ if [ "$bench_smoke" -eq 1 ]; then
   echo "== bench JSON guard =="
   if command -v python3 > /dev/null 2>&1; then
     python3 "$root/tools/check_bench_json.py" "$smoke_dir"
-    if [ "$require_simd" -eq 1 ]; then
-      # The kernels table must carry the SIMD column with real timings in
-      # every row (a host without the ISA still produces numbers — the path
-      # silently degrades to gemm — so an absent/empty column means the
-      # bench driver itself regressed, not the machine).
-      python3 - "$smoke_dir/BENCH_runtime_overhead_kernels.json" <<'PYEOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-if "simd (ms)" not in doc["columns"]:
-    sys.exit("require-simd: no 'simd (ms)' column in the kernels table")
-bad = [r for r in doc["rows"] if not str(r.get("simd (ms)", "")).strip()]
-if bad:
-    sys.exit(f"require-simd: {len(bad)} kernels row(s) have an empty simd entry")
-print(f"require-simd: OK ({len(doc['rows'])} rows with simd timings)")
-PYEOF
-    fi
   else
     # CI always has python3; only a bare local box lands here.
     echo "run_tier1.sh: WARNING: python3 not found, skipping the" \
          "BENCH_*.json artifact guard" >&2
-    if [ "$require_simd" -eq 1 ]; then
-      echo "run_tier1.sh: --require-simd needs python3" >&2
-      exit 1
-    fi
   fi
   echo "== bench smoke PASS =="
 fi
