@@ -37,12 +37,12 @@ int main() {
   sched::RandomSearchScheduler random("RandomSearch", ctx.zoo(), factory,
                                       rs_cfg);
 
-  sched::HillClimbConfig hc_cfg;
+  sched::LocalSearchConfig hc_cfg;
   hc_cfg.budget = kBudget;
   hc_cfg.seed = kSeed;
   sched::HillClimbScheduler climb("HillClimb", ctx.zoo(), factory, hc_cfg);
 
-  sched::AnnealingConfig sa_cfg;
+  sched::LocalSearchConfig sa_cfg;
   sa_cfg.budget = kBudget;
   sa_cfg.seed = kSeed;
   sched::SimulatedAnnealingScheduler anneal("Annealing", ctx.zoo(), factory,

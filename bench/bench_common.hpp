@@ -136,7 +136,9 @@ class Context {
 /// Machine-readable export: writes \p t as `BENCH_<name>.json` under
 /// `$OMNIBOOST_BENCH_JSON_DIR`. A no-op when the variable is unset, so
 /// default runs stay text-only. Cells that parse fully as numbers are
-/// emitted as JSON numbers; everything else as strings.
+/// emitted as JSON numbers; everything else as strings. A write that fails
+/// (e.g. the directory does not exist) ends the process with exit code 1,
+/// so a lost artifact can never pass for a successful run.
 inline void emit_json(const std::string& name, const util::Table& t) {
   const char* dir = std::getenv("OMNIBOOST_BENCH_JSON_DIR");
   if (dir == nullptr || *dir == '\0') return;
@@ -200,11 +202,11 @@ inline void emit_json(const std::string& name, const util::Table& t) {
   std::ofstream out(path);
   out << doc.dump(2) << '\n';
   out.flush();
-  if (out) {
-    std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-  } else {
+  if (!out) {
     std::fprintf(stderr, "[bench] FAILED to write %s\n", path.c_str());
+    std::exit(EXIT_FAILURE);
   }
+  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
 }
 
 /// The standard way to publish a result table: prints it to stdout AND

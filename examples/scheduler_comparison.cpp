@@ -56,11 +56,11 @@ int main() {
   schedulers.push_back(std::make_unique<sched::GaScheduler>(zoo, spec));
   schedulers.push_back(std::make_unique<sched::GreedyScheduler>(zoo, spec));
   schedulers.push_back(std::make_unique<sched::RandomSearchScheduler>(
-      "RandomSearch", zoo, factory, sched::LocalSearchConfig{}));
+      "RandomSearch", zoo, factory));
   schedulers.push_back(std::make_unique<sched::HillClimbScheduler>(
-      "HillClimb", zoo, factory, sched::HillClimbConfig{}));
+      "HillClimb", zoo, factory));
   schedulers.push_back(std::make_unique<sched::SimulatedAnnealingScheduler>(
-      "Annealing", zoo, factory, sched::AnnealingConfig{}));
+      "Annealing", zoo, factory));
   schedulers.push_back(std::make_unique<core::OmniBoostScheduler>(
       zoo, embedding, estimator));
 

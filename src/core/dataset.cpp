@@ -21,6 +21,10 @@ namespace {
 /// still bounding a truly infeasible configuration).
 constexpr std::size_t kSlotAttempts = 200;
 
+/// Mix sizes are drawn uniformly from [kMinMix, kMaxMix] (paper: 1-5 DNNs).
+constexpr std::size_t kMinMix = 1;
+constexpr std::size_t kMaxMix = 5;
+
 /// One training sample produced by a slot (inputs/targets land in slot
 /// order regardless of which worker computed them).
 struct Sample {
@@ -72,20 +76,17 @@ SampleSet generate_dataset(const models::ModelZoo& zoo,
                            const sim::DesSimulator& board,
                            const DatasetConfig& config) {
   OB_REQUIRE(config.samples > 0, "generate_dataset: zero samples");
-  OB_REQUIRE(config.min_mix >= 1 && config.min_mix <= config.max_mix &&
-                 config.max_mix <= models::kNumModels,
-             "generate_dataset: bad mix-size range");
 
   if (config.workers >= 1) {
     return run_parallel_pipeline(
         board, config,
         [&](util::Rng& rng, const sim::DesSimulator& sim, Sample& out) {
           const std::size_t n = static_cast<std::size_t>(
-              rng.range(static_cast<std::int64_t>(config.min_mix),
-                        static_cast<std::int64_t>(config.max_mix)));
+              rng.range(static_cast<std::int64_t>(kMinMix),
+                        static_cast<std::int64_t>(kMaxMix)));
           const workload::Workload w = workload::random_mix(rng, n);
           const sim::Mapping mapping =
-              workload::random_mapping(rng, zoo, w, config.stage_limit);
+              workload::random_mapping(rng, zoo, w, sim::kStageLimit);
           const sim::ThroughputReport report =
               sim.simulate(w.resolve(zoo), mapping);
           if (!report.feasible) return false;
@@ -112,11 +113,11 @@ SampleSet generate_dataset(const models::ModelZoo& zoo,
     OB_ENSURE(++attempts <= max_attempts,
               "generate_dataset: too many infeasible workloads");
     const std::size_t n = static_cast<std::size_t>(
-        rng.range(static_cast<std::int64_t>(config.min_mix),
-                  static_cast<std::int64_t>(config.max_mix)));
+        rng.range(static_cast<std::int64_t>(kMinMix),
+                  static_cast<std::int64_t>(kMaxMix)));
     const workload::Workload w = workload::random_mix(rng, n);
     const sim::Mapping mapping =
-        workload::random_mapping(rng, zoo, w, config.stage_limit);
+        workload::random_mapping(rng, zoo, w, sim::kStageLimit);
 
     const sim::ThroughputReport report =
         board.simulate(w.resolve(zoo), mapping);
@@ -136,9 +137,7 @@ SampleSet generate_dataset(const sim::NetworkList& nets,
                            const DatasetConfig& config) {
   OB_REQUIRE(config.samples > 0, "generate_dataset: zero samples");
   OB_REQUIRE(!nets.empty(), "generate_dataset: empty catalog");
-  const std::size_t max_mix = std::min(config.max_mix, nets.size());
-  OB_REQUIRE(config.min_mix >= 1 && config.min_mix <= max_mix,
-             "generate_dataset: bad mix-size range");
+  const std::size_t max_mix = std::min(kMaxMix, nets.size());
   OB_REQUIRE(embedding.models_dim() == nets.size(),
              "generate_dataset: embedding/catalog dimension mismatch");
 
@@ -151,7 +150,7 @@ SampleSet generate_dataset(const sim::NetworkList& nets,
                                   std::vector<std::size_t>& indices,
                                   sim::Mapping& mapping) {
     const std::size_t n = static_cast<std::size_t>(
-        rng.range(static_cast<std::int64_t>(config.min_mix),
+        rng.range(static_cast<std::int64_t>(kMinMix),
                   static_cast<std::int64_t>(max_mix)));
     indices = all_indices;
     for (std::size_t i = 0; i < n; ++i) {
@@ -167,7 +166,7 @@ SampleSet generate_dataset(const sim::NetworkList& nets,
     for (const std::size_t idx : indices) {
       mix_nets.push_back(nets[idx]);
       per_dnn.push_back(workload::random_assignment(
-          rng, nets[idx]->num_layers(), config.stage_limit));
+          rng, nets[idx]->num_layers(), sim::kStageLimit));
     }
     mapping = sim::Mapping(std::move(per_dnn));
   };

@@ -13,12 +13,10 @@
 
 namespace omniboost::core {
 
-/// Dataset generation controls (paper defaults).
+/// Dataset generation controls (paper defaults). Mixes hold 1-5 distinct
+/// DNNs; mappings respect the sim::kStageLimit stage cap.
 struct DatasetConfig {
   std::size_t samples = 500;
-  std::size_t min_mix = 1;
-  std::size_t max_mix = 5;
-  std::size_t stage_limit = 3;
   std::uint64_t seed = 42;
   /// Design-time parallelism.
   ///
@@ -48,7 +46,7 @@ SampleSet generate_dataset(const models::ModelZoo& zoo,
 
 /// Catalog variant for extended datasets (paper claim (iii)): mixes are
 /// drawn as distinct indices into \p nets, which must be the list the
-/// embedding tensor was built from. config.max_mix is clamped to
+/// embedding tensor was built from. The largest mix size is clamped to
 /// nets.size().
 SampleSet generate_dataset(const sim::NetworkList& nets,
                            const EmbeddingTensor& embedding,

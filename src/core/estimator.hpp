@@ -94,6 +94,9 @@ class ThroughputEstimator {
       const std::vector<tensor::Tensor>& inputs) const;
 
   bool trained() const { return trained_; }
+  /// Embedding dimensions the input layer expects (M models x L layers).
+  std::size_t models_dim() const { return models_dim_; }
+  std::size_t layers_dim() const { return layers_dim_; }
 
   /// Compute-kernel selection for the CNN's Conv2d/Linear layers (see
   /// nn/kernel.hpp). A freshly constructed or loaded estimator uses

@@ -110,16 +110,6 @@ sim::Mapping Mcts::to_mapping(const std::vector<ComponentId>& path) const {
   return sim::Mapping(std::move(per_dnn));
 }
 
-MctsResult parallel_mcts_search(const std::vector<std::size_t>& layer_counts,
-                                const EvaluatorFactory& make_evaluator,
-                                MctsConfig config, std::size_t workers) {
-  OB_REQUIRE(make_evaluator != nullptr, "parallel_mcts_search: null factory");
-  const BatchEvaluatorFactory batched = [&make_evaluator] {
-    return adapt_scalar(make_evaluator());
-  };
-  return parallel_mcts_search_batched(layer_counts, batched, config, workers);
-}
-
 MctsResult parallel_mcts_search_batched(
     const std::vector<std::size_t>& layer_counts,
     const BatchEvaluatorFactory& make_evaluator, MctsConfig config,

@@ -51,7 +51,8 @@ struct MctsConfig {
   /// calibrated on validation mixes (ablation A6 sweeps the sensitivity;
   /// quality is flat within roughly a 4x band around this value).
   double exploration = 0.7071067811865476;
-  std::size_t stage_limit = 3;   ///< x = number of computing components
+  /// Pipeline-stage cap x; the stage-cap ablation sweeps it.
+  std::size_t stage_limit = sim::kStageLimit;
   MctsExtraction extraction = MctsExtraction::kGlobalArgmax;
   std::uint64_t seed = 1;
   /// Leaf evaluations collected per expansion wave before the batch
@@ -113,14 +114,11 @@ struct MctsResult {
   std::size_t tree_nodes = 0;
 };
 
-/// Builds an independent evaluator instance for one search worker.
+/// Builds an independent batch evaluator for one search worker.
 /// Root-parallel search cannot share one evaluator across threads: the CNN
 /// estimator's forward pass mutates per-layer activation caches. Each call
 /// must return an evaluator whose mutable state is private (e.g. a cloned
 /// estimator; see OmniBoostConfig::workers).
-using EvaluatorFactory = std::function<MappingEvaluator()>;
-
-/// Batch-evaluator variant of EvaluatorFactory; same private-state rule.
 using BatchEvaluatorFactory = std::function<BatchMappingEvaluator()>;
 
 /// Root-parallelized UCT: \p workers independent trees with forked seeds and
@@ -128,17 +126,10 @@ using BatchEvaluatorFactory = std::function<BatchMappingEvaluator()>;
 /// this is exactly Mcts::search() (same seed, same result). Decision quality
 /// is comparable at equal total budget; wall-clock drops by ~the worker
 /// count — the knob for shrinking the paper's ~30 s decision latency.
-/// Each worker keeps a private evaluation memo (caches are not shared across
-/// trees: sharing would reintroduce the cross-thread estimator state the
-/// clone rule exists to avoid).
-MctsResult parallel_mcts_search(const std::vector<std::size_t>& layer_counts,
-                                const EvaluatorFactory& make_evaluator,
-                                MctsConfig config, std::size_t workers);
-
-/// Batched-evaluator form of parallel_mcts_search: every worker routes its
-/// expansion waves (MctsConfig::batch_size) through its private batch
-/// evaluator. The scalar overload above is this function with each scalar
-/// evaluator adapted to a batch-of-1 loop.
+/// Every worker routes its expansion waves (MctsConfig::batch_size) through
+/// its private batch evaluator and keeps a private evaluation memo (caches
+/// are not shared across trees: sharing would reintroduce the cross-thread
+/// estimator state the clone rule exists to avoid).
 MctsResult parallel_mcts_search_batched(
     const std::vector<std::size_t>& layer_counts,
     const BatchEvaluatorFactory& make_evaluator, MctsConfig config,

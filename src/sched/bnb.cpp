@@ -28,10 +28,7 @@ struct Coord {
 BranchAndBoundScheduler::BranchAndBoundScheduler(
     std::string name, const models::ModelZoo& zoo,
     const device::DeviceSpec& device, BnbConfig config)
-    : name_(std::move(name)), zoo_(&zoo), model_(device), config_(config) {
-  OB_REQUIRE(config_.stage_limit >= 1,
-             "BranchAndBoundScheduler: stage limit must be >= 1");
-}
+    : name_(std::move(name)), zoo_(&zoo), model_(device), config_(config) {}
 
 core::ScheduleResult BranchAndBoundScheduler::schedule(
     const workload::Workload& w) {
@@ -60,8 +57,7 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
 
   ReducedSpace reduced;
   if (config_.use_reduction) {
-    reduced = reduce_search_space(*zoo_, w, model_.cost_model().device(),
-                                  ReduceConfig{config_.stage_limit});
+    reduced = reduce_search_space(*zoo_, w, model_.cost_model().device());
   }
   const bool symmetry = config_.use_reduction && reduced.has_symmetry();
 
@@ -76,8 +72,7 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
     return model_.evaluate(nets, m).avg_throughput;
   };
   const auto greedy_seed = [&]() {
-    GreedyScheduler greedy(*zoo_, model_.cost_model().device(),
-                           GreedyConfig{config_.stage_limit});
+    GreedyScheduler greedy(*zoo_, model_.cost_model().device());
     sim::Mapping m = greedy.schedule(w).mapping;
     const double v = evaluate(m);
     if (v > incumbent_value) {
@@ -160,7 +155,7 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
       if (c.layer > 0) {
         const auto prev =
             static_cast<ComponentId>(partial[c.dnn][c.layer - 1]);
-        if (comp != prev && stages == config_.stage_limit) continue;
+        if (comp != prev && stages == sim::kStageLimit) continue;
       }
       const std::size_t ci = device::component_index(comp);
       if (symmetry && used_count[ci] == 0) {

@@ -29,9 +29,8 @@
 
 namespace omniboost::sched {
 
-/// Branch-and-bound controls.
+/// Branch-and-bound controls (the stage cap is sim::kStageLimit).
 struct BnbConfig {
-  std::size_t stage_limit = 3;  ///< the paper's x = pipeline-stage cap
   /// Wall-clock budget in milliseconds; 0 = unlimited. Checked coarsely
   /// (every few dozen nodes), so overruns stay in the microsecond range.
   double timeout_ms = 0.0;

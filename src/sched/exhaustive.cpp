@@ -10,6 +10,13 @@
 
 namespace omniboost::sched {
 
+namespace {
+
+/// Hard cap on the number of complete mappings one schedule() may evaluate.
+constexpr std::size_t kMaxMappings = 2'000'000;
+
+}  // namespace
+
 ExhaustiveScheduler::ExhaustiveScheduler(std::string name,
                                          const models::ModelZoo& zoo,
                                          WorkloadEvaluatorFactory evaluator,
@@ -25,9 +32,9 @@ core::ScheduleResult ExhaustiveScheduler::schedule(const workload::Workload& w) 
   OB_REQUIRE(w.size() > 0, "ExhaustiveScheduler: empty workload");
   const auto start = std::chrono::steady_clock::now();
 
-  const double space = count_mappings(*zoo_, w, config_.stage_limit);
-  OB_REQUIRE(space <= static_cast<double>(config_.max_mappings),
-             "ExhaustiveScheduler: mapping space exceeds max_mappings");
+  const double space = count_mappings(*zoo_, w, sim::kStageLimit);
+  OB_REQUIRE(space <= static_cast<double>(kMaxMappings),
+             "ExhaustiveScheduler: mapping space exceeds the cap");
 
   const core::MappingEvaluator evaluate = factory_(w);
   const std::vector<std::size_t> counts = w.layer_counts(*zoo_);
@@ -42,8 +49,8 @@ core::ScheduleResult ExhaustiveScheduler::schedule(const workload::Workload& w) 
   for (std::size_t d = 0; d < counts.size(); ++d) {
     const LayerChoices* allowed =
         config_.reduce != nullptr ? &config_.reduce->allowed[d] : nullptr;
-    per_dnn.push_back(enumerate_assignments(counts[d], config_.stage_limit,
-                                            config_.max_mappings, allowed));
+    per_dnn.push_back(enumerate_assignments(counts[d], sim::kStageLimit,
+                                            kMaxMappings, allowed));
     OB_REQUIRE(!per_dnn.back().empty(),
                "ExhaustiveScheduler: reduction emptied a DNN's space");
   }

@@ -23,12 +23,6 @@ namespace omniboost::sched {
 /// sched/search_common.hpp, shared with the branch-and-bound scheduler and
 /// the reduce pass so all exact searches agree on one canonical order.
 struct ExhaustiveConfig {
-  std::size_t stage_limit = 3;
-  /// Hard cap on the number of complete mappings that may be evaluated;
-  /// schedule() throws when the workload's space is larger. The cap is
-  /// checked against the UNRESTRICTED space even when a reduction is
-  /// installed, so reduction never changes which workloads are accepted.
-  std::size_t max_mappings = 2'000'000;
   /// Optional pre-computed reduction (sched::reduce_search_space) restricting
   /// per-layer choices. Must match the scheduled workload's shape. Null (the
   /// default) enumerates the full space, preserving the historical
@@ -37,7 +31,10 @@ struct ExhaustiveConfig {
 };
 
 /// The exact optimizer. Only usable on tiny workloads; the ablation tests
-/// use it as ground truth.
+/// use it as ground truth. schedule() throws when the workload's space holds
+/// more than 2,000,000 mappings; the cap is checked against the UNRESTRICTED
+/// space even when a reduction is installed, so reduction never changes
+/// which workloads are accepted.
 class ExhaustiveScheduler final : public core::IScheduler {
  public:
   ExhaustiveScheduler(std::string name, const models::ModelZoo& zoo,

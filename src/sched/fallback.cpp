@@ -11,6 +11,9 @@ namespace omniboost::sched {
 
 namespace {
 
+/// Deadline growth per retry.
+constexpr double kBackoffMultiplier = 2.0;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
@@ -31,9 +34,6 @@ FallbackScheduler::FallbackScheduler(std::unique_ptr<core::IScheduler> primary,
              "FallbackScheduler: deadline_ms must be finite and >= 0");
   OB_REQUIRE(config_.max_attempts >= 1,
              "FallbackScheduler: max_attempts must be >= 1");
-  OB_REQUIRE(std::isfinite(config_.backoff_multiplier) &&
-                 config_.backoff_multiplier >= 1.0,
-             "FallbackScheduler: backoff_multiplier must be finite and >= 1");
 }
 
 std::string FallbackScheduler::name() const {
@@ -61,7 +61,7 @@ core::ScheduleResult FallbackScheduler::guarded(const Attempt& attempt) {
       } catch (const std::exception&) {
         ++stats_.exceptions;
       }
-      allowed_s *= config_.backoff_multiplier;
+      allowed_s *= kBackoffMultiplier;
     }
   }
   core::ScheduleResult r = attempt(*fallback_);

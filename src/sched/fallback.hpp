@@ -11,12 +11,11 @@
 /// Semantics: C++ cannot safely abort an in-flight schedule() call, so the
 /// deadline is enforced POST-HOC — the primary runs to completion, and a
 /// result that came back after the attempt's deadline is discarded as stale
-/// (by the time it is ready the epoch has moved on). Each retry grows the
-/// allowed deadline by backoff_multiplier (retrying under the identical
-/// budget would fail the identical way); after max_attempts the fallback
-/// decides. A deadline_ms of 0 never invokes the primary at all — every
-/// epoch provably serves through the fallback (pinned by
-/// tests/fallback_test.cpp).
+/// (by the time it is ready the epoch has moved on). Each retry doubles the
+/// allowed deadline (retrying under the identical budget would fail the
+/// identical way); after max_attempts the fallback decides. A deadline_ms of
+/// 0 never invokes the primary at all — every epoch provably serves through
+/// the fallback (pinned by tests/fallback_test.cpp).
 ///
 /// Determinism caveat: with a finite nonzero deadline the decision depends
 /// on wall-clock timing and is NOT replay-deterministic. The two extremes
@@ -41,10 +40,8 @@ struct FallbackConfig {
   /// Must be finite and >= 0.
   double deadline_ms = 50.0;
   /// Primary attempts before the fallback decides (>= 1). Attempt k runs
-  /// under deadline_ms * backoff_multiplier^k.
+  /// under deadline_ms * 2^k.
   std::size_t max_attempts = 2;
-  /// Deadline growth per retry (finite, >= 1).
-  double backoff_multiplier = 2.0;
 };
 
 /// Cumulative decision accounting across the wrapper's lifetime.

@@ -15,6 +15,11 @@ using device::kNumComponents;
 
 namespace {
 
+constexpr std::size_t kTournament = 3;
+constexpr double kCrossoverRate = 0.9;
+constexpr double kMutationRate = 0.02;  ///< per-gene reassignment probability
+constexpr std::size_t kElitism = 2;     ///< chromosomes copied unchanged
+
 /// Flattened chromosome: all DNNs' layer assignments back to back.
 struct Chromosome {
   std::vector<ComponentId> genes;
@@ -26,10 +31,9 @@ struct Chromosome {
 GaScheduler::GaScheduler(const models::ModelZoo& zoo,
                          const device::DeviceSpec& device, GaConfig config)
     : zoo_(&zoo), board_(device), config_(config) {
+  // At least four chromosomes also leave room for offspring beside the
+  // kElitism elites.
   OB_REQUIRE(config_.population >= 4, "GaScheduler: population too small");
-  OB_REQUIRE(config_.elitism < config_.population,
-             "GaScheduler: elitism must leave room for offspring");
-  OB_REQUIRE(config_.tournament >= 1, "GaScheduler: bad tournament size");
 }
 
 void GaScheduler::repair_stages(sim::Assignment& a, std::size_t max_stages) {
@@ -85,7 +89,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
     for (std::size_t c : counts) {
       sim::Assignment a(genes.begin() + static_cast<std::ptrdiff_t>(off),
                         genes.begin() + static_cast<std::ptrdiff_t>(off + c));
-      repair_stages(a, config_.max_stages);
+      repair_stages(a, sim::kStageLimit);
       per_dnn.push_back(std::move(a));
       off += c;
     }
@@ -99,7 +103,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
     ch.fitness =
         measured * std::max(0.0, 1.0 + config_.fitness_noise * rng.normal());
     ++result.evaluations;
-    result.board_seconds += config_.board_seconds_per_eval;
+    result.board_seconds += kGaBoardSecondsPerEval;
   };
 
   // --- Initial population: random stage-limited mappings.
@@ -108,7 +112,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
     ch.genes.reserve(total);
     for (std::size_t c : counts) {
       const sim::Assignment a =
-          workload::random_assignment(rng, c, config_.max_stages);
+          workload::random_assignment(rng, c, sim::kStageLimit);
       ch.genes.insert(ch.genes.end(), a.begin(), a.end());
     }
     evaluate(ch);
@@ -116,7 +120,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
 
   const auto tournament_pick = [&]() -> const Chromosome& {
     const Chromosome* best = &pop[rng.below(pop.size())];
-    for (std::size_t k = 1; k < config_.tournament; ++k) {
+    for (std::size_t k = 1; k < kTournament; ++k) {
       const Chromosome& cand = pop[rng.below(pop.size())];
       if (cand.fitness > best->fitness) best = &cand;
     }
@@ -131,14 +135,14 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
               });
     std::vector<Chromosome> next;
     next.reserve(pop.size());
-    for (std::size_t e = 0; e < config_.elitism; ++e) next.push_back(pop[e]);
+    for (std::size_t e = 0; e < kElitism; ++e) next.push_back(pop[e]);
 
     while (next.size() < pop.size()) {
       Chromosome child;
       const Chromosome& pa = tournament_pick();
       const Chromosome& pb = tournament_pick();
       child.genes = pa.genes;
-      if (rng.chance(config_.crossover_rate) && total > 1) {
+      if (rng.chance(kCrossoverRate) && total > 1) {
         // One-point crossover; the cut may fall inside a DNN, creating the
         // extra pipeline stages the paper says damage elite chromosomes —
         // repaired by the merge layer inside unflatten().
@@ -148,7 +152,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
           child.genes[g] = pb.genes[g];
       }
       for (std::size_t g = 0; g < total; ++g) {
-        if (rng.chance(config_.mutation_rate))
+        if (rng.chance(kMutationRate))
           child.genes[g] = static_cast<ComponentId>(rng.below(kNumComponents));
       }
       evaluate(child);

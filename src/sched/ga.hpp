@@ -16,24 +16,22 @@
 
 namespace omniboost::sched {
 
-/// GA hyper-parameters.
+/// GA hyper-parameters. The rest are fixed: tournament size 3, crossover
+/// rate 0.9, per-gene mutation rate 0.02, two elite chromosomes copied
+/// unchanged per generation, and the sim::kStageLimit stage cap.
 struct GaConfig {
   std::size_t population = 8;
   std::size_t generations = 3;
-  std::size_t tournament = 3;
-  double crossover_rate = 0.9;
-  double mutation_rate = 0.02;   ///< per-gene reassignment probability
-  std::size_t elitism = 2;       ///< chromosomes copied unchanged
-  std::size_t max_stages = 3;
   /// Relative noise of one fitness measurement: on the physical board each
   /// chromosome is timed over a short window, so the GA selects on noisy
   /// observations (a key reason it trails OmniBoost in the paper).
   double fitness_noise = 0.20;
-  /// Board seconds consumed per fitness measurement; evaluations x this is
-  /// the GA's per-mix "retraining" cost (~5 minutes in the paper).
-  double board_seconds_per_eval = 12.0;
   std::uint64_t seed = 1234;
 };
+
+/// Board seconds consumed per GA fitness measurement; evaluations x this is
+/// the GA's per-mix "retraining" cost (~5 minutes in the paper).
+inline constexpr double kGaBoardSecondsPerEval = 12.0;
 
 /// The GA scheduler. Every fitness evaluation runs the board simulator —
 /// the in-simulation analogue of the measurement-driven retraining that

@@ -14,11 +14,8 @@ using device::kAllComponents;
 using device::kNumComponents;
 
 GreedyScheduler::GreedyScheduler(const models::ModelZoo& zoo,
-                                 const device::DeviceSpec& device,
-                                 GreedyConfig config)
-    : zoo_(&zoo), device_(device), cost_(device_), config_(config) {
-  OB_REQUIRE(config_.max_stages >= 1, "GreedyScheduler: bad stage limit");
-}
+                                 const device::DeviceSpec& device)
+    : zoo_(&zoo), device_(device), cost_(device_) {}
 
 core::ScheduleResult GreedyScheduler::schedule(const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "GreedyScheduler::schedule: empty workload");
@@ -30,12 +27,10 @@ core::ScheduleResult GreedyScheduler::schedule(const workload::Workload& w) {
   // components before the light ones commit load.
   std::vector<std::size_t> order(nets.size());
   std::iota(order.begin(), order.end(), 0);
-  if (config_.heaviest_first) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return nets[a]->total_flops() > nets[b]->total_flops();
-                     });
-  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return nets[a]->total_flops() > nets[b]->total_flops();
+                   });
 
   // Load committed to each component so far (seconds of work per frame).
   std::array<double, kNumComponents> load{};
@@ -49,7 +44,7 @@ core::ScheduleResult GreedyScheduler::schedule(const workload::Workload& w) {
     std::size_t stages_open = 0;
 
     for (std::size_t l = 0; l < net.num_layers(); ++l) {
-      const bool can_open_stage = stages_open < config_.max_stages;
+      const bool can_open_stage = stages_open < sim::kStageLimit;
       ComponentId best = l == 0 ? ComponentId::kGpu : a[l - 1];
       double best_cost = std::numeric_limits<double>::infinity();
 
@@ -64,10 +59,8 @@ core::ScheduleResult GreedyScheduler::schedule(const workload::Workload& w) {
                                          a[l - 1], c);
         }
         // Marginal finish-time estimate: the component's accumulated load
-        // plus this layer's execution, plus weighted communication.
-        const double cand =
-            load[device::component_index(c)] + exec +
-            config_.comm_weight * transfer;
+        // plus this layer's execution, plus communication.
+        const double cand = load[device::component_index(c)] + exec + transfer;
         ++result.evaluations;
         if (cand < best_cost) {
           best_cost = cand;

@@ -15,24 +15,13 @@
 
 namespace omniboost::sched {
 
-/// Greedy controls.
-struct GreedyConfig {
-  /// Per-DNN pipeline-stage cap (the paper's x = 3). The greedy pass refuses
-  /// placements that would open a stage beyond the cap.
-  std::size_t max_stages = 3;
-  /// Weight of the inter-component transfer time in the marginal cost; 0
-  /// makes the pass communication-oblivious.
-  double comm_weight = 1.0;
-  /// Process DNNs heaviest-first (by total FLOPs). Heaviest-first lets the
-  /// big models grab the strong components before the light ones fill them.
-  bool heaviest_first = true;
-};
-
-/// Deterministic greedy list scheduler over layers.
+/// Deterministic greedy list scheduler over layers. DNNs are visited
+/// heaviest-first (by total FLOPs), so the big models grab the strong
+/// components before the light ones fill them; no placement may open a
+/// stage beyond sim::kStageLimit.
 class GreedyScheduler final : public core::IScheduler {
  public:
-  GreedyScheduler(const models::ModelZoo& zoo, const device::DeviceSpec& device,
-                  GreedyConfig config = {});
+  GreedyScheduler(const models::ModelZoo& zoo, const device::DeviceSpec& device);
 
   std::string name() const override { return "Greedy"; }
   core::ScheduleResult schedule(const workload::Workload& w) override;
@@ -41,7 +30,6 @@ class GreedyScheduler final : public core::IScheduler {
   const models::ModelZoo* zoo_;
   device::DeviceSpec device_;  ///< owned copy; cost_ points into it
   device::CostModel cost_;
-  GreedyConfig config_;
 };
 
 }  // namespace omniboost::sched

@@ -16,6 +16,15 @@ using device::kNumComponents;
 
 namespace {
 
+/// Hill climbing: consecutive rejected moves before restarting from a fresh
+/// random mapping.
+constexpr std::size_t kStallLimit = 40;
+
+/// Simulated annealing's geometric cooling schedule, in relative-improvement
+/// units.
+constexpr double kInitialTemperature = 0.30;
+constexpr double kFinalTemperature = 0.005;
+
 class StopWatch {
  public:
   StopWatch() : start_(std::chrono::steady_clock::now()) {}
@@ -53,11 +62,10 @@ void write_segments(sim::Assignment& a,
 }
 
 /// Mutates one whole DNN's mapping within the workload.
-void perturb_mapping(util::Rng& rng, sim::Mapping& m,
-                     std::size_t stage_limit) {
+void perturb_mapping(util::Rng& rng, sim::Mapping& m) {
   const std::size_t d = rng.below(m.num_dnns());
   sim::Assignment a = m.assignment(d);
-  perturb_assignment(rng, a, stage_limit);
+  perturb_assignment(rng, a, sim::kStageLimit);
   std::vector<sim::Assignment> per_dnn = m.assignments();
   per_dnn[d] = std::move(a);
   m = sim::Mapping(std::move(per_dnn));
@@ -152,7 +160,7 @@ core::ScheduleResult RandomSearchScheduler::schedule(
   result.expected_reward = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < config_.budget; ++i) {
     sim::Mapping m =
-        workload::random_mapping(rng, *zoo_, w, config_.stage_limit);
+        workload::random_mapping(rng, *zoo_, w, sim::kStageLimit);
     const double r = evaluate(m);
     ++result.evaluations;
     if (r > result.expected_reward) {
@@ -169,14 +177,13 @@ core::ScheduleResult RandomSearchScheduler::schedule(
 HillClimbScheduler::HillClimbScheduler(std::string name,
                                        const models::ModelZoo& zoo,
                                        WorkloadEvaluatorFactory evaluator,
-                                       HillClimbConfig config)
+                                       LocalSearchConfig config)
     : name_(std::move(name)),
       zoo_(&zoo),
       factory_(std::move(evaluator)),
       config_(config) {
   OB_REQUIRE(factory_ != nullptr, "HillClimbScheduler: null factory");
   OB_REQUIRE(config_.budget >= 1, "HillClimbScheduler: zero budget");
-  OB_REQUIRE(config_.stall_limit >= 1, "HillClimbScheduler: bad stall limit");
 }
 
 core::ScheduleResult HillClimbScheduler::schedule(const workload::Workload& w) {
@@ -190,17 +197,17 @@ core::ScheduleResult HillClimbScheduler::schedule(const workload::Workload& w) {
 
   sim::Mapping current;
   double current_reward = 0.0;
-  std::size_t stalled = config_.stall_limit;  // force initial restart
+  std::size_t stalled = kStallLimit;  // force initial restart
 
   while (result.evaluations < config_.budget) {
-    if (stalled >= config_.stall_limit) {
-      current = workload::random_mapping(rng, *zoo_, w, config_.stage_limit);
+    if (stalled >= kStallLimit) {
+      current = workload::random_mapping(rng, *zoo_, w, sim::kStageLimit);
       current_reward = evaluate(current);
       ++result.evaluations;
       stalled = 0;
     } else {
       sim::Mapping cand = current;
-      perturb_mapping(rng, cand, config_.stage_limit);
+      perturb_mapping(rng, cand);
       const double r = evaluate(cand);
       ++result.evaluations;
       if (r > current_reward) {
@@ -224,17 +231,13 @@ core::ScheduleResult HillClimbScheduler::schedule(const workload::Workload& w) {
 
 SimulatedAnnealingScheduler::SimulatedAnnealingScheduler(
     std::string name, const models::ModelZoo& zoo,
-    WorkloadEvaluatorFactory evaluator, AnnealingConfig config)
+    WorkloadEvaluatorFactory evaluator, LocalSearchConfig config)
     : name_(std::move(name)),
       zoo_(&zoo),
       factory_(std::move(evaluator)),
       config_(config) {
   OB_REQUIRE(factory_ != nullptr, "SimulatedAnnealingScheduler: null factory");
   OB_REQUIRE(config_.budget >= 2, "SimulatedAnnealingScheduler: budget < 2");
-  OB_REQUIRE(config_.initial_temperature > 0.0 &&
-                 config_.final_temperature > 0.0 &&
-                 config_.final_temperature <= config_.initial_temperature,
-             "SimulatedAnnealingScheduler: bad temperature schedule");
 }
 
 core::ScheduleResult SimulatedAnnealingScheduler::schedule(
@@ -247,7 +250,7 @@ core::ScheduleResult SimulatedAnnealingScheduler::schedule(
   core::ScheduleResult result;
 
   sim::Mapping current =
-      workload::random_mapping(rng, *zoo_, w, config_.stage_limit);
+      workload::random_mapping(rng, *zoo_, w, sim::kStageLimit);
   double current_reward = evaluate(current);
   ++result.evaluations;
   result.mapping = current;
@@ -255,15 +258,14 @@ core::ScheduleResult SimulatedAnnealingScheduler::schedule(
 
   const std::size_t steps = config_.budget - 1;
   const double cool =
-      steps > 0 ? std::pow(config_.final_temperature /
-                               config_.initial_temperature,
+      steps > 0 ? std::pow(kFinalTemperature / kInitialTemperature,
                            1.0 / static_cast<double>(steps))
                 : 1.0;
-  double temperature = config_.initial_temperature;
+  double temperature = kInitialTemperature;
 
   for (std::size_t i = 0; i < steps; ++i, temperature *= cool) {
     sim::Mapping cand = current;
-    perturb_mapping(rng, cand, config_.stage_limit);
+    perturb_mapping(rng, cand);
     const double r = evaluate(cand);
     ++result.evaluations;
 

@@ -22,10 +22,9 @@
 
 namespace omniboost::sched {
 
-/// Budgeted stochastic search controls.
+/// Budgeted stochastic search controls (the stage cap is sim::kStageLimit).
 struct LocalSearchConfig {
   std::size_t budget = 500;      ///< evaluator queries (matches MCTS budget)
-  std::size_t stage_limit = 3;   ///< x = number of computing components
   std::uint64_t seed = 5;
 };
 
@@ -52,18 +51,13 @@ class RandomSearchScheduler final : public core::IScheduler {
   LocalSearchConfig config_;
 };
 
-/// First-improvement hill climbing with random restarts.
-struct HillClimbConfig : LocalSearchConfig {
-  /// Consecutive rejected moves before restarting from a fresh random
-  /// mapping.
-  std::size_t stall_limit = 40;
-};
-
+/// First-improvement hill climbing, restarting from a fresh random mapping
+/// after 40 consecutive rejected moves.
 class HillClimbScheduler final : public core::IScheduler {
  public:
   HillClimbScheduler(std::string name, const models::ModelZoo& zoo,
                      WorkloadEvaluatorFactory evaluator,
-                     HillClimbConfig config = {});
+                     LocalSearchConfig config = {});
 
   std::string name() const override { return name_; }
   core::ScheduleResult schedule(const workload::Workload& w) override;
@@ -72,21 +66,17 @@ class HillClimbScheduler final : public core::IScheduler {
   std::string name_;
   const models::ModelZoo* zoo_;
   WorkloadEvaluatorFactory factory_;
-  HillClimbConfig config_;
+  LocalSearchConfig config_;
 };
 
-/// Simulated annealing with geometric cooling and relative-delta Metropolis
+/// Simulated annealing with geometric cooling (temperature 0.30 down to
+/// 0.005, in relative-improvement units) and relative-delta Metropolis
 /// acceptance.
-struct AnnealingConfig : LocalSearchConfig {
-  double initial_temperature = 0.30;  ///< relative-improvement units
-  double final_temperature = 0.005;
-};
-
 class SimulatedAnnealingScheduler final : public core::IScheduler {
  public:
   SimulatedAnnealingScheduler(std::string name, const models::ModelZoo& zoo,
                               WorkloadEvaluatorFactory evaluator,
-                              AnnealingConfig config = {});
+                              LocalSearchConfig config = {});
 
   std::string name() const override { return name_; }
   core::ScheduleResult schedule(const workload::Workload& w) override;
@@ -95,7 +85,7 @@ class SimulatedAnnealingScheduler final : public core::IScheduler {
   std::string name_;
   const models::ModelZoo* zoo_;
   WorkloadEvaluatorFactory factory_;
-  AnnealingConfig config_;
+  LocalSearchConfig config_;
 };
 
 }  // namespace omniboost::sched

@@ -33,6 +33,8 @@ double LinearLatencyModel::predict(const models::LayerDesc& l) const {
 
 namespace {
 
+constexpr double kMeasurementNoise = 0.05;  ///< relative jitter of board timings
+
 /// Solves the 6x6 normal equations A w = b (Gaussian elimination with
 /// partial pivoting; A is SPD up to noise so this is ample).
 std::array<double, LinearLatencyModel::kFeatures> solve_normal_equations(
@@ -88,7 +90,7 @@ MosaicScheduler::MosaicScheduler(const models::ModelZoo& zoo,
           if (collected >= config_.data_points) break;
           const auto comp = static_cast<ComponentId>(c);
           const double t = cost.layer_time(layer, comp) *
-                           (1.0 + config_.measurement_noise * rng.normal());
+                           (1.0 + kMeasurementNoise * rng.normal());
           training_board_seconds_ += std::max(t, 0.0);
           const auto x = LinearLatencyModel::features(layer);
           for (std::size_t i = 0; i < 6; ++i) {
@@ -110,7 +112,6 @@ sim::Assignment MosaicScheduler::slice_network(
     const models::NetworkDesc& net,
     std::array<double, kNumComponents>& loads) const {
   const std::size_t n = net.num_layers();
-  const std::size_t smax = std::min<std::size_t>(config_.max_stages, 3);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double link_bw = device_.link.bandwidth_gbps * 1e9;
 
@@ -132,7 +133,7 @@ sim::Assignment MosaicScheduler::slice_network(
   };
 
   // Candidate score: bottleneck of the running per-component loads after
-  // adding this slicing, plus weighted communication time.
+  // adding this slicing, plus communication time.
   double best_score = kInf;
   std::array<double, kNumComponents> best_add{};
   sim::Assignment best(n, ComponentId::kGpu);
@@ -151,7 +152,7 @@ sim::Assignment MosaicScheduler::slice_network(
     double bottleneck = 0.0;
     for (std::size_t c = 0; c < kNumComponents; ++c)
       bottleneck = std::max(bottleneck, loads[c] + add[c]);
-    const double score = bottleneck + config_.comm_weight * comm;
+    const double score = bottleneck + comm;
     if (score < best_score) {
       best_score = score;
       best_add = add;
@@ -168,14 +169,14 @@ sim::Assignment MosaicScheduler::slice_network(
   // 1-stage placements.
   for (std::size_t c = 0; c < kNumComponents; ++c) consider({}, {c});
   // 2-stage placements.
-  if (smax >= 2 && n >= 2) {
+  if (n >= 2) {
     for (std::size_t cut = 1; cut < n; ++cut)
       for (std::size_t a = 0; a < kNumComponents; ++a)
         for (std::size_t b = 0; b < kNumComponents; ++b)
           if (a != b) consider({cut}, {a, b});
   }
   // 3-stage placements.
-  if (smax >= 3 && n >= 3) {
+  if (n >= 3) {
     for (std::size_t cut1 = 1; cut1 + 1 < n; ++cut1)
       for (std::size_t cut2 = cut1 + 1; cut2 < n; ++cut2)
         for (std::size_t a = 0; a < kNumComponents; ++a)

@@ -27,14 +27,9 @@ struct LinearLatencyModel {
   double predict(const models::LayerDesc& l) const;
 };
 
-/// MOSAIC controls.
+/// MOSAIC controls. Board timings carry a fixed 5% relative jitter.
 struct MosaicConfig {
   std::size_t data_points = 14'000;  ///< paper: "more than 14,000 data points"
-  double measurement_noise = 0.05;   ///< relative jitter of board timings
-  std::size_t max_stages = 3;
-  /// Weight of inter-stage communication time in the slicing score
-  /// (MOSAIC is communication-aware).
-  double comm_weight = 1.0;
   std::uint64_t seed = 97;
 };
 
@@ -62,11 +57,11 @@ class MosaicScheduler final : public core::IScheduler {
  private:
   /// Best slicing of one DNN given the loads already committed to each
   /// component: enumerates all 1/2/3-stage partitions, scoring each by the
-  /// predicted bottleneck load plus weighted communication time. Linear
-  /// latency predictions make this heterogeneity-aware; adding to a running
-  /// load vector makes it balance the mix; but it remains blind to
-  /// working-set contention and kernel-dispatch nonlinearity — the gap the
-  /// paper exploits.
+  /// predicted bottleneck load plus communication time (MOSAIC is
+  /// communication-aware). Linear latency predictions make this
+  /// heterogeneity-aware; adding to a running load vector makes it balance
+  /// the mix; but it remains blind to working-set contention and
+  /// kernel-dispatch nonlinearity — the gap the paper exploits.
   sim::Assignment slice_network(
       const models::NetworkDesc& net,
       std::array<double, device::kNumComponents>& loads) const;

@@ -39,10 +39,8 @@ bool ReducedSpace::has_symmetry() const {
 
 ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
                                  const workload::Workload& w,
-                                 const device::DeviceSpec& device,
-                                 ReduceConfig config) {
+                                 const device::DeviceSpec& device) {
   OB_REQUIRE(w.size() > 0, "reduce_search_space: empty workload");
-  OB_REQUIRE(config.stage_limit >= 1, "reduce_search_space: bad stage limit");
 
   const sim::NetworkList nets = w.resolve(zoo);
   const sim::AnalyticModel model(device);
@@ -52,7 +50,7 @@ ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
   // Incumbent: the greedy mapping scored by the same analytic objective the
   // probes bound. Anything a probe certifies as strictly worse than an
   // already-achieved objective cannot be optimal.
-  GreedyScheduler greedy(zoo, device, GreedyConfig{config.stage_limit});
+  GreedyScheduler greedy(zoo, device);
   const core::ScheduleResult seed = greedy.schedule(w);
   space.incumbent_objective =
       model.evaluate(nets, seed.mapping).avg_throughput;
@@ -70,15 +68,11 @@ ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
     for (std::size_t l = 0; l < nets[d]->num_layers(); ++l) {
       for (const device::ComponentId comp : device::kAllComponents) {
         ++space.total_choices;
-        bool keep = true;
-        if (config.dominance) {
-          probe[d][l] =
-              static_cast<std::int8_t>(device::component_index(comp));
-          // Strict comparison: an equal-valued optimum may still pass
-          // through this choice, so only a certified deficit prunes.
-          keep = bound.upper_bound(probe) >= space.incumbent_objective;
-          probe[d][l] = sim::kLayerUnassigned;
-        }
+        probe[d][l] = static_cast<std::int8_t>(device::component_index(comp));
+        // Strict comparison: an equal-valued optimum may still pass through
+        // this choice, so only a certified deficit prunes.
+        const bool keep = bound.upper_bound(probe) >= space.incumbent_objective;
+        probe[d][l] = sim::kLayerUnassigned;
         if (keep) {
           space.allowed[d][l].push_back(comp);
         } else {
@@ -93,13 +87,11 @@ ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
     }
   }
 
-  if (config.symmetry) {
-    for (std::size_t c = 0; c < device::kNumComponents; ++c) {
-      for (std::size_t rep = 0; rep < c; ++rep) {
-        if (same_performance(device.components[rep], device.components[c])) {
-          space.symmetry_class[c] = space.symmetry_class[rep];
-          break;
-        }
+  for (std::size_t c = 0; c < device::kNumComponents; ++c) {
+    for (std::size_t rep = 0; rep < c; ++rep) {
+      if (same_performance(device.components[rep], device.components[c])) {
+        space.symmetry_class[c] = space.symmetry_class[rep];
+        break;
       }
     }
   }

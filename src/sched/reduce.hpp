@@ -35,13 +35,6 @@
 
 namespace omniboost::sched {
 
-/// Reduction controls.
-struct ReduceConfig {
-  std::size_t stage_limit = 3;  ///< stage cap of the greedy incumbent
-  bool dominance = true;        ///< bound-probing removal of per-layer choices
-  bool symmetry = true;         ///< identical-component equivalence classes
-};
-
 /// The reduced search space of one workload.
 struct ReducedSpace {
   /// Surviving components per layer: allowed[dnn][layer], kAllComponents
@@ -69,7 +62,6 @@ struct ReducedSpace {
 /// the same workload on the same board.
 ReducedSpace reduce_search_space(const models::ModelZoo& zoo,
                                  const workload::Workload& w,
-                                 const device::DeviceSpec& device,
-                                 ReduceConfig config = {});
+                                 const device::DeviceSpec& device);
 
 }  // namespace omniboost::sched

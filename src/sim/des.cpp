@@ -10,6 +10,14 @@ namespace omniboost::sim {
 
 namespace {
 
+/// Measurement horizon, as a multiple of the slowest stream's solo inference
+/// time.
+constexpr double kHorizonMultiplier = 60.0;
+/// Fraction of the horizon discarded as warm-up.
+constexpr double kWarmupFraction = 0.3;
+/// Hard event cap (safety against degenerate workloads).
+constexpr std::size_t kMaxEvents = 4'000'000;
+
 /// One frame flowing through a stream's pipeline.
 struct Frame {
   std::size_t dnn = 0;
@@ -28,13 +36,8 @@ struct Event {
 
 }  // namespace
 
-DesSimulator::DesSimulator(const device::DeviceSpec& device, DesConfig config)
-    : device_(device), cost_(device_), config_(config) {
-  OB_REQUIRE(config_.horizon_multiplier > 0.0 &&
-                 config_.warmup_fraction >= 0.0 &&
-                 config_.warmup_fraction < 1.0,
-             "DesSimulator: bad config");
-}
+DesSimulator::DesSimulator(const device::DeviceSpec& device)
+    : device_(device), cost_(device_) {}
 
 void DesSimulator::set_throttle(double factor) {
   OB_REQUIRE(std::isfinite(factor) && factor > 0.0 && factor <= 1.0,
@@ -164,8 +167,8 @@ ThroughputReport DesSimulator::run(const NetworkList& nets,
     }
     slowest = std::max(slowest, t);
   }
-  const double horizon = config_.horizon_multiplier * slowest;
-  const double warmup = config_.warmup_fraction * horizon;
+  const double horizon = kHorizonMultiplier * slowest;
+  const double warmup = kWarmupFraction * horizon;
   const double window = horizon - warmup;
 
   std::vector<std::vector<double>> latencies;
@@ -223,7 +226,7 @@ ThroughputReport DesSimulator::run(const NetworkList& nets,
       events.push(Event{0.0, Event::Kind::kArrival, Frame{i, 0}, 0});
 
   std::size_t processed = 0;
-  while (!events.empty() && processed < config_.max_events) {
+  while (!events.empty() && processed < kMaxEvents) {
     const Event ev = events.top();
     events.pop();
     ++processed;

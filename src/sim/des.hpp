@@ -14,26 +14,16 @@
 
 namespace omniboost::sim {
 
-/// Simulation controls.
-struct DesConfig {
-  /// Measurement horizon, as a multiple of the slowest stream's solo
-  /// inference time.
-  double horizon_multiplier = 60.0;
-  /// Fraction of the horizon discarded as warm-up.
-  double warmup_fraction = 0.3;
-  /// Hard event cap (safety against degenerate configurations).
-  std::size_t max_events = 4'000'000;
-};
-
-/// Event-driven board simulator.
+/// Event-driven board simulator. The measurement horizon is 60 times the
+/// slowest stream's solo inference time, and its first 30% is discarded as
+/// warm-up.
 ///
 /// Owns a copy of the DeviceSpec, so callers may pass temporaries
 /// (e.g. make_hikey970() inline). Non-copyable: the internal cost model
 /// points into the owned spec.
 class DesSimulator {
  public:
-  explicit DesSimulator(const device::DeviceSpec& device,
-                        DesConfig config = {});
+  explicit DesSimulator(const device::DeviceSpec& device);
 
   DesSimulator(const DesSimulator&) = delete;
   DesSimulator& operator=(const DesSimulator&) = delete;
@@ -88,15 +78,12 @@ class DesSimulator {
   /// std::invalid_argument unless \p factor is finite and in (0, 1].
   void set_throttle(double factor);
   double throttle() const { return device_.throttle; }
-  /// Simulation controls (exposed for clone() and diagnostics).
-  const DesConfig& config() const { return config_; }
 
-  /// Independent simulator with the same spec + config — the standard way
-  /// for parallel pipelines (core::generate_dataset) and serving/bench
-  /// drivers to obtain private instances instead of hand-rebuilding them
-  /// from the device()/config() getters.
+  /// Independent simulator with the same spec — the standard way for
+  /// parallel pipelines (core::generate_dataset) and serving/bench drivers
+  /// to obtain private instances.
   std::unique_ptr<DesSimulator> clone() const {
-    return std::make_unique<DesSimulator>(device(), config());
+    return std::make_unique<DesSimulator>(device());
   }
 
  private:
@@ -108,7 +95,6 @@ class DesSimulator {
 
   device::DeviceSpec device_;  ///< owned copy; cost_ points into it
   device::CostModel cost_;
-  DesConfig config_;
 };
 
 /// Applies the shared-DRAM wall and fills the derived report fields.

@@ -25,7 +25,7 @@ std::string render_gantt(const ExecutionTrace& trace,
              "record_events = true)");
   OB_REQUIRE(config.width >= 8, "render_gantt: width too small");
 
-  const double t0 = config.include_warmup ? 0.0 : trace.warmup_seconds;
+  const double t0 = trace.warmup_seconds;
   const double t1 = trace.horizon_seconds;
   OB_REQUIRE(t1 > t0, "render_gantt: empty time window");
   const double bucket = (t1 - t0) / static_cast<double>(config.width);

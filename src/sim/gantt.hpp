@@ -18,11 +18,11 @@ namespace omniboost::sim {
 /// Rendering controls.
 struct GanttConfig {
   std::size_t width = 72;      ///< character columns for the time axis
-  bool include_warmup = false; ///< render from t=0 instead of the window start
 };
 
-/// Renders the trace's recorded events (requires simulate_traced(...,
-/// record_events = true); throws if the trace has no events). Streams are
+/// Renders the trace's recorded events over the measurement window (warm-up
+/// excluded); requires simulate_traced(..., record_events = true) and
+/// throws if the trace has no events. Streams are
 /// drawn as '0'..'9' then 'a'..'z'; idle time as '.'. When several events
 /// share a bucket the one covering most of it wins.
 std::string render_gantt(const ExecutionTrace& trace,

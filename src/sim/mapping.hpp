@@ -3,7 +3,7 @@
 /// The schedulable decision object: which computing component runs every
 /// layer of every DNN in a multi-DNN workload. Contiguous runs of layers on
 /// one component form *pipeline stages* (the paper limits these to
-/// x = kNumComponents per DNN; exceeding that marks a losing MCTS state).
+/// x = kStageLimit per DNN; exceeding that marks a losing MCTS state).
 
 #include <cstddef>
 #include <cstdint>
@@ -15,6 +15,12 @@
 namespace omniboost::sim {
 
 using device::ComponentId;
+
+/// The paper's pipeline-stage cap x: one stage per computing component
+/// (x = 3 on the HiKey970). Every scheduler, the dataset campaign and the
+/// MCTS default share this one value; only core::MctsConfig::stage_limit
+/// can override it (the stage-cap ablation sweeps it).
+inline constexpr std::size_t kStageLimit = device::kNumComponents;
 
 /// Per-layer component choice for one DNN.
 using Assignment = std::vector<ComponentId>;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -437,6 +438,29 @@ TEST(CliFlags, BadEstimatorFileFailsAtTheFlag) {
       "--estimator-file " + path,
       "--estimator-file " + path +
           ": ThroughputEstimator::load: log_scale is not finite");
+  std::remove(path.c_str());
+}
+
+TEST(CliFlags, EstimatorShapeMismatchFailsAtTheFlag) {
+  // An estimator file whose embedding shape does not fit the board used to
+  // load and then die at the first prediction ("predict_batch: unexpected
+  // input shape"). Here: a real trained file with models_dim patched from
+  // 11 to 12.
+  const std::string path = ::testing::TempDir() + "ob_wide_estimator.bin";
+  const std::string train =
+      "timeout 60 " + std::string(OMNIBOOST_CLI_PATH) +
+      " --mix AlexNet --scheduler random --budget 4 --samples 10"
+      " --epochs 1 --save-estimator " + path + " > /dev/null 2>&1";
+  ASSERT_EQ(std::system(train.c_str()), 0);
+  {
+    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(12);  // magic (4 bytes) and version (8), then models_dim
+    f.put(12);
+  }
+  expect_serve_fails_at_the_flag(
+      "--estimator-file " + path,
+      "--estimator-file " + path +
+          ": estimator expects a 12x37 embedding, this board's is 11x37");
   std::remove(path.c_str());
 }
 

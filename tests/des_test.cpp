@@ -200,11 +200,4 @@ TEST_F(DesTest, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
-TEST_F(DesTest, ConfigValidation) {
-  EXPECT_THROW(DesSimulator(device_, DesConfig{0.0, 0.3, 100}),
-               std::invalid_argument);
-  EXPECT_THROW(DesSimulator(device_, DesConfig{10.0, 1.0, 100}),
-               std::invalid_argument);
-}
-
 }  // namespace

@@ -175,7 +175,7 @@ TEST(ExtendedDataset, RejectsMismatchedEmbedding) {
 }
 
 TEST(ExtendedDataset, MixSizeClampedToCatalog) {
-  // A 2-model catalog with the default max_mix = 5 must still work.
+  // A 2-model catalog with the largest mix size of 5 must still work.
   const models::NetworkDesc custom = make_custom();
   sim::NetworkList tiny;
   tiny.push_back(&zoo().network(ModelId::kAlexNet));

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "nn/layers.hpp"
 #include "util/rng.hpp"
 

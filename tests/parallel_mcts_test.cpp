@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/dataset.hpp"
 #include "core/omniboost.hpp"
@@ -30,11 +31,15 @@ std::shared_ptr<const sim::AnalyticModel> analytic() {
 }
 
 /// Thread-safe oracle factory (AnalyticModel::evaluate is const and pure).
-core::EvaluatorFactory oracle_factory(const Workload& w) {
+core::BatchEvaluatorFactory oracle_factory(const Workload& w) {
   const sim::NetworkList nets = w.resolve(zoo());
-  return [nets]() -> core::MappingEvaluator {
-    return [nets](const sim::Mapping& m) {
-      return analytic()->evaluate(nets, m).avg_throughput;
+  return [nets]() -> core::BatchMappingEvaluator {
+    return [nets](const std::vector<sim::Mapping>& batch) {
+      std::vector<double> rewards;
+      rewards.reserve(batch.size());
+      for (const sim::Mapping& m : batch)
+        rewards.push_back(analytic()->evaluate(nets, m).avg_throughput);
+      return rewards;
     };
   };
 }
@@ -46,8 +51,8 @@ TEST(ParallelMcts, SingleWorkerMatchesSequentialSearch) {
   cfg.seed = 9;
 
   const auto factory = oracle_factory(w);
-  const core::MctsResult parallel =
-      core::parallel_mcts_search(w.layer_counts(zoo()), factory, cfg, 1);
+  const core::MctsResult parallel = core::parallel_mcts_search_batched(
+      w.layer_counts(zoo()), factory, cfg, 1);
 
   core::Mcts sequential(w.layer_counts(zoo()), factory(), cfg);
   const core::MctsResult plain = sequential.search();
@@ -62,8 +67,8 @@ TEST(ParallelMcts, BudgetSplitsExactlyAcrossWorkers) {
   const Workload w{{ModelId::kAlexNet, ModelId::kMobileNet}};
   core::MctsConfig cfg;
   cfg.budget = 103;  // deliberately not divisible by 4
-  const auto r = core::parallel_mcts_search(w.layer_counts(zoo()),
-                                            oracle_factory(w), cfg, 4);
+  const auto r = core::parallel_mcts_search_batched(
+      w.layer_counts(zoo()), oracle_factory(w), cfg, 4);
   EXPECT_EQ(r.evaluations + r.cache_hits, 103u);
   EXPECT_EQ(r.iterations, 103u);
   EXPECT_TRUE(r.best_mapping.within_stage_limit(3));
@@ -74,10 +79,10 @@ TEST(ParallelMcts, DeterministicAcrossRuns) {
   core::MctsConfig cfg;
   cfg.budget = 160;
   cfg.seed = 77;
-  const auto a = core::parallel_mcts_search(w.layer_counts(zoo()),
-                                            oracle_factory(w), cfg, 4);
-  const auto b = core::parallel_mcts_search(w.layer_counts(zoo()),
-                                            oracle_factory(w), cfg, 4);
+  const auto a = core::parallel_mcts_search_batched(
+      w.layer_counts(zoo()), oracle_factory(w), cfg, 4);
+  const auto b = core::parallel_mcts_search_batched(
+      w.layer_counts(zoo()), oracle_factory(w), cfg, 4);
   EXPECT_EQ(a.best_mapping, b.best_mapping);
   EXPECT_DOUBLE_EQ(a.best_reward, b.best_reward);
 }
@@ -88,8 +93,8 @@ TEST(ParallelMcts, MergedRewardIsBestOfWorkers) {
   const Workload w{{ModelId::kResNet34, ModelId::kSqueezeNet}};
   core::MctsConfig cfg;
   cfg.budget = 140;
-  const auto r = core::parallel_mcts_search(w.layer_counts(zoo()),
-                                            oracle_factory(w), cfg, 4);
+  const auto r = core::parallel_mcts_search_batched(
+      w.layer_counts(zoo()), oracle_factory(w), cfg, 4);
   const double measured =
       analytic()->evaluate(w.resolve(zoo()), r.best_mapping).avg_throughput;
   EXPECT_NEAR(r.best_reward, measured, 1e-9);
@@ -99,14 +104,14 @@ TEST(ParallelMcts, RejectsDegenerateConfigs) {
   const Workload w{{ModelId::kAlexNet}};
   core::MctsConfig cfg;
   cfg.budget = 2;
-  EXPECT_THROW(core::parallel_mcts_search(w.layer_counts(zoo()),
-                                          oracle_factory(w), cfg, 0),
+  EXPECT_THROW(core::parallel_mcts_search_batched(w.layer_counts(zoo()),
+                                                  oracle_factory(w), cfg, 0),
                std::invalid_argument);
-  EXPECT_THROW(core::parallel_mcts_search(w.layer_counts(zoo()),
-                                          oracle_factory(w), cfg, 4),
+  EXPECT_THROW(core::parallel_mcts_search_batched(w.layer_counts(zoo()),
+                                                  oracle_factory(w), cfg, 4),
                std::invalid_argument);  // budget < workers
-  EXPECT_THROW(core::parallel_mcts_search(w.layer_counts(zoo()), nullptr, cfg,
-                                          1),
+  EXPECT_THROW(core::parallel_mcts_search_batched(w.layer_counts(zoo()),
+                                                  nullptr, cfg, 1),
                std::invalid_argument);
 }
 
@@ -114,14 +119,15 @@ TEST(ParallelMcts, WorkerErrorsPropagate) {
   const Workload w{{ModelId::kAlexNet}};
   core::MctsConfig cfg;
   cfg.budget = 40;
-  const core::EvaluatorFactory throwing = []() -> core::MappingEvaluator {
-    return [](const sim::Mapping&) -> double {
+  const core::BatchEvaluatorFactory throwing =
+      []() -> core::BatchMappingEvaluator {
+    return [](const std::vector<sim::Mapping>&) -> std::vector<double> {
       throw std::runtime_error("evaluator exploded");
     };
   };
-  EXPECT_THROW(
-      core::parallel_mcts_search(w.layer_counts(zoo()), throwing, cfg, 4),
-      std::runtime_error);
+  EXPECT_THROW(core::parallel_mcts_search_batched(w.layer_counts(zoo()),
+                                                  throwing, cfg, 4),
+               std::runtime_error);
 }
 
 TEST(ParallelMcts, OmniBoostSchedulerEndToEnd) {

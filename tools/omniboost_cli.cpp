@@ -182,7 +182,7 @@ std::unique_ptr<core::IScheduler> make_scheduler(
         cfg);
   }
   if (kind == "annealing") {
-    sched::AnnealingConfig cfg;
+    sched::LocalSearchConfig cfg;
     cfg.budget = o.budget;
     cfg.seed = o.seed;
     return std::make_unique<sched::SimulatedAnnealingScheduler>(
@@ -267,6 +267,18 @@ std::shared_ptr<const core::ThroughputEstimator> prepare_estimator(
     } catch (const std::exception& e) {
       throw std::invalid_argument("--estimator-file " + est_path + ": " +
                                   e.what());
+    }
+    // A file trained for another board's embedding loads fine but fails
+    // at its first prediction; refuse it here, at its flag.
+    if (estimator->models_dim() != embedding.models_dim() ||
+        estimator->layers_dim() != embedding.layers_dim()) {
+      throw std::invalid_argument(
+          "--estimator-file " + est_path + ": estimator expects a " +
+          std::to_string(estimator->models_dim()) + "x" +
+          std::to_string(estimator->layers_dim()) +
+          " embedding, this board's is " +
+          std::to_string(embedding.models_dim()) + "x" +
+          std::to_string(embedding.layers_dim()));
     }
     if (!quiet) std::printf("loaded estimator from %s\n", est_path.c_str());
     return estimator;

@@ -9,8 +9,9 @@
 #                  with OMNIBOOST_BENCH_SMOKE=1 (tiny campaigns, shared
 #                  smoke-only estimator cache, JSON export into
 #                  <build>/bench-smoke/), plus `bench_e2e --smoke` (the
-#                  end-to-end benchmark's five workloads at tiny sizes).
-#                  Catches bench bit-rot in tier-1
+#                  end-to-end benchmark's five workloads at tiny sizes),
+#                  and checks that a driver pointed at a missing JSON
+#                  directory exits non-zero. Catches bench bit-rot in tier-1
 #                  instead of at the next real experiment run. Every driver
 #                  runs even after a failure (all failures are reported at
 #                  once) and ANY failure fails the script; the emitted
@@ -256,6 +257,24 @@ if [ "$bench_smoke" -eq 1 ]; then
   if [ -x "$build_dir/bench_e2e" ]; then
     smoke_one bench_e2e env -u OMNIBOOST_BENCH_JSON_DIR \
       "$build_dir/bench_e2e" --smoke --workdir "$smoke_dir"
+  fi
+  # A driver pointed at a JSON directory that does not exist must fail and
+  # name the path, not drop its artifact and exit 0.
+  missing_dir="$smoke_dir/no-such-dir"
+  rm -rf "$missing_dir"
+  printf -- '-- missing JSON dir fails ... '
+  if OMNIBOOST_BENCH_JSON_DIR="$missing_dir" \
+      "$build_dir/bench_fig1_motivation" > "$smoke_dir/missing-dir.log" 2>&1; then
+    echo "FAILED"
+    echo "run_tier1.sh: bench_fig1_motivation exited 0 with" \
+         "OMNIBOOST_BENCH_JSON_DIR=$missing_dir" >&2
+    smoke_failures="$smoke_failures missing-json-dir"
+  elif ! grep -q "FAILED to write $missing_dir/" "$smoke_dir/missing-dir.log"; then
+    echo "FAILED"
+    echo "run_tier1.sh: the failed write does not name $missing_dir" >&2
+    smoke_failures="$smoke_failures missing-json-dir"
+  else
+    echo "ok"
   fi
   if [ -n "$smoke_failures" ]; then
     echo "run_tier1.sh: bench smoke FAILED:$smoke_failures" >&2
