@@ -25,23 +25,17 @@ sim::NetworkList resolve_present(const models::ModelZoo& zoo,
   return nets;
 }
 
-/// Installs a precomputed mapping through the ordinary epoch engine: both
-/// schedule() and reschedule() simply return the stored mapping, so the
-/// ServingSession::refresh() path re-measures it exactly like any scheduler
-/// decision. ClusterSession::install_mapping uses this to land background
-/// re-search results without a second measurement code path.
+/// Installs a precomputed mapping through the ordinary epoch engine:
+/// schedule() (and so the default reschedule()) simply returns the stored
+/// mapping, so the ServingSession::refresh() path re-measures it exactly like
+/// any scheduler decision. ClusterSession::install_mapping uses this to land
+/// background re-search results without a second measurement code path.
 class FixedMappingScheduler final : public IScheduler {
  public:
   explicit FixedMappingScheduler(sim::Mapping mapping)
       : mapping_(std::move(mapping)) {}
   std::string name() const override { return "background-install"; }
   ScheduleResult schedule(const workload::Workload&) override {
-    ScheduleResult r;
-    r.mapping = mapping_;
-    return r;
-  }
-  ScheduleResult reschedule(const workload::Workload&, const sim::Mapping&,
-                            const ScheduleContext&) override {
     ScheduleResult r;
     r.mapping = mapping_;
     return r;
@@ -54,8 +48,7 @@ class FixedMappingScheduler final : public IScheduler {
 class LeastLoadedPolicy final : public IPlacementPolicy {
  public:
   std::string name() const override { return "least-loaded"; }
-  std::size_t place(const workload::ScenarioEvent&,
-                    const models::NetworkDesc&,
+  std::size_t place(const models::NetworkDesc&,
                     const std::vector<BoardView>& boards,
                     const std::vector<std::size_t>& admissible) override {
     std::size_t best = admissible.front();
@@ -68,8 +61,7 @@ class LeastLoadedPolicy final : public IPlacementPolicy {
 class BestEstimatedTPolicy final : public IPlacementPolicy {
  public:
   std::string name() const override { return "best-t"; }
-  std::size_t place(const workload::ScenarioEvent&,
-                    const models::NetworkDesc& net,
+  std::size_t place(const models::NetworkDesc& net,
                     const std::vector<BoardView>& boards,
                     const std::vector<std::size_t>& admissible) override {
     // Estimated post-placement utilization: compute demand over capacity.
@@ -88,8 +80,7 @@ class BestEstimatedTPolicy final : public IPlacementPolicy {
 class MemoryHeadroomPolicy final : public IPlacementPolicy {
  public:
   std::string name() const override { return "memory-headroom"; }
-  std::size_t place(const workload::ScenarioEvent&,
-                    const models::NetworkDesc&,
+  std::size_t place(const models::NetworkDesc&,
                     const std::vector<BoardView>& boards,
                     const std::vector<std::size_t>& admissible) override {
     std::size_t best = admissible.front();
@@ -99,6 +90,18 @@ class MemoryHeadroomPolicy final : public IPlacementPolicy {
     return best;
   }
 };
+
+/// Stream \p m (with its SLO) arriving at \p time_s: how a failover or a
+/// rebalance re-enters a stream whose original arrival event is gone.
+workload::ScenarioEvent rearrival(double time_s, models::ModelId m,
+                                  double slo_s) {
+  workload::ScenarioEvent arr;
+  arr.time_s = time_s;
+  arr.kind = workload::ScenarioEventKind::kArrive;
+  arr.model = m;
+  arr.slo_ms = slo_s * 1e3;
+  return arr;
+}
 
 /// One served epoch as JSON. Idle epochs (the mix drained; nothing was
 /// scheduled) carry default decision fields; `idle` flags them so consumers
@@ -225,9 +228,6 @@ Cluster::Cluster(const models::ModelZoo& zoo, std::vector<BoardSpec> boards,
   OB_REQUIRE(
       std::isfinite(config_.cross_board_gbps) && config_.cross_board_gbps > 0.0,
       "Cluster: cross_board_gbps must be finite and > 0");
-  OB_REQUIRE(std::isfinite(config_.max_migration_stall_s) &&
-                 config_.max_migration_stall_s >= 0.0,
-             "Cluster: max_migration_stall_s must be finite and >= 0");
   sims_.reserve(boards_.size());
   for (const BoardSpec& b : boards_)
     sims_.push_back(std::make_unique<sim::DesSimulator>(b.device));
@@ -309,8 +309,6 @@ std::vector<BoardView> ClusterSession::make_views() const {
   std::vector<BoardView> views(n);
   for (std::size_t i = 0; i < n; ++i) {
     BoardView& v = views[i];
-    v.index = i;
-    v.device = &cluster_->boards_[i].device;
     v.streams = sessions_[i].present().size();
     v.load_flops = 0.0;
     for (const models::ModelId id : sessions_[i].present())
@@ -323,7 +321,6 @@ std::vector<BoardView> ClusterSession::make_views() const {
     v.memory_headroom_bytes =
         cluster_->boards_[i].device.memory_budget_bytes -
         board_memory_lower_bound_bytes(cluster_->sims_[i]->cost_model(), nets);
-    v.last_measured_throughput = sessions_[i].last_measured_throughput();
   }
   return views;
 }
@@ -347,14 +344,21 @@ bool ClusterSession::admits(std::size_t board, const models::NetworkDesc& net,
   return true;
 }
 
-// Prices moving \p net's weights onto another board over the fleet
-// network (the intra-board model's per-segment overhead applies once —
-// the whole network re-instantiates as one download).
-double ClusterSession::cross_board_stall(
-    const models::NetworkDesc& net) const {
-  return net.total_weight_bytes() /
-             (cluster_->config_.cross_board_gbps * 1e9) +
-         cluster_->config_.serving.migration.per_segment_overhead_s;
+std::vector<std::size_t> ClusterSession::admitting(
+    const models::NetworkDesc& net, double slo_s, std::size_t except) const {
+  std::vector<std::size_t> boards;
+  for (std::size_t i = 0; i < sessions_.size(); ++i)
+    if (i != except && admits(i, net, slo_s)) boards.push_back(i);
+  return boards;
+}
+
+std::size_t ClusterSession::place(const models::NetworkDesc& net,
+                                  const std::vector<std::size_t>& admissible) {
+  const std::size_t board = policy_->place(net, make_views(), admissible);
+  OB_REQUIRE(std::find(admissible.begin(), admissible.end(), board) !=
+                 admissible.end(),
+             "Cluster::run: policy placed outside the admissible set");
+  return board;
 }
 
 const EpochReport& ClusterSession::serve(std::size_t board,
@@ -377,17 +381,26 @@ double ClusterSession::working_set(const models::NetworkDesc& net) const {
       net, 0, net.num_layers() - 1);
 }
 
-// Moves stream \p m (with its SLO) onto \p target, charging the
-// cross-board transfer as a start stall on its first epoch there.
-void ClusterSession::arrive_at(std::size_t target, models::ModelId m,
-                               double slo_s, double time_s, double stall_s) {
-  workload::ScenarioEvent arr;
-  arr.time_s = time_s;
-  arr.kind = workload::ScenarioEventKind::kArrive;
-  arr.model = m;
-  arr.slo_ms = slo_s * 1e3;
-  serve(target, arr, stall_s);
-  location_[models::model_index(m)] = target;
+// The stall prices moving the network's weights over the fleet network
+// (the intra-board model's per-segment overhead applies once — the whole
+// network re-instantiates as one download).
+const EpochReport& ClusterSession::move(std::size_t from, std::size_t to,
+                                        const workload::ScenarioEvent& arrival,
+                                        double& stall_total_s) {
+  const models::NetworkDesc& net = cluster_->zoo_->network(arrival.model);
+  const double stall_s =
+      net.total_weight_bytes() / (cluster_->config_.cross_board_gbps * 1e9) +
+      cluster_->config_.serving.migration.per_segment_overhead_s;
+  if (from != kNoBoard) {
+    workload::ScenarioEvent leave = arrival;
+    leave.kind = workload::ScenarioEventKind::kDepart;
+    leave.slo_ms = 0.0;  // departures never carry an SLO
+    serve(from, leave);
+  }
+  const EpochReport& ep = serve(to, arrival, stall_s);
+  location_[models::model_index(arrival.model)] = to;
+  stall_total_s += stall_s;
+  return ep;
 }
 
 ClusterSession::ApplyOutcome ClusterSession::apply(
@@ -411,29 +424,25 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
       ++report_.board_failures;
       up_[b] = false;
       down_since_[b] = e.time_s;
-      // Snapshot the residents, evict the board, then fail each stream
-      // over — lightest working set first: light streams are the
-      // likeliest to fit a survivor and the cheapest to move, so when
-      // capacity runs short it is the heaviest (least-feasible) streams
-      // that get shed. A rebooted board holds no weights, so eviction
-      // clears the session's warm state entirely.
-      std::vector<models::ModelId> victims = sessions_[b].present();
-      const std::vector<double> victim_slos = sessions_[b].present_slo_s();
-      std::vector<double> victim_slo_of(models::kNumModels, 0.0);
-      for (std::size_t v = 0; v < victims.size(); ++v)
-        victim_slo_of[models::model_index(victims[v])] = victim_slos[v];
+      // Snapshot the residents (with their SLOs), evict the board, then
+      // fail each stream over — lightest working set first: light streams
+      // are the likeliest to fit a survivor and the cheapest to move, so
+      // when capacity runs short it is the heaviest (least-feasible)
+      // streams that get shed. A rebooted board holds no weights, so
+      // eviction clears the session's warm state entirely.
+      std::vector<std::pair<models::ModelId, double>> victims;
+      for (std::size_t v = 0; v < sessions_[b].present().size(); ++v)
+        victims.emplace_back(sessions_[b].present()[v],
+                             sessions_[b].present_slo_s()[v]);
       sessions_[b].evict_all();
       std::stable_sort(victims.begin(), victims.end(),
-                       [&](models::ModelId a, models::ModelId c) {
-                         return working_set(cluster_->zoo_->network(a)) <
-                                working_set(cluster_->zoo_->network(c));
+                       [&](const auto& a, const auto& c) {
+                         return working_set(cluster_->zoo_->network(a.first)) <
+                                working_set(cluster_->zoo_->network(c.first));
                        });
-      for (const models::ModelId m : victims) {
+      for (const auto& [m, slo_s] : victims) {
         const models::NetworkDesc& net = cluster_->zoo_->network(m);
-        const double slo_s = victim_slo_of[models::model_index(m)];
-        std::vector<std::size_t> targets;
-        for (std::size_t i = 0; i < n; ++i)
-          if (admits(i, net, slo_s)) targets.push_back(i);
+        const std::vector<std::size_t> targets = admitting(net, slo_s);
         if (targets.empty()) {
           // Graceful degradation: no survivor can take the stream.
           shed_[models::model_index(m)] = true;
@@ -441,22 +450,10 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
           ++report_.shed_streams;
           continue;
         }
-        // Failover is forced, not elective — the stall cap never sheds a
-        // stream some board still admits.
-        const double stall_s = cross_board_stall(net);
-        workload::ScenarioEvent arr = e;
-        arr.kind = workload::ScenarioEventKind::kArrive;
-        arr.model = m;
-        arr.slo_ms = slo_s * 1e3;
-        arr.board = 0;
-        const std::size_t target =
-            policy_->place(arr, net, make_views(), targets);
-        OB_REQUIRE(std::find(targets.begin(), targets.end(), target) !=
-                       targets.end(),
-                   "Cluster::run: policy placed outside the target set");
-        arrive_at(target, m, slo_s, e.time_s, stall_s);
+        const std::size_t target = place(net, targets);
+        move(kNoBoard, target, rearrival(e.time_s, m, slo_s),
+             report_.failover_stall_s);
         ++report_.failovers;
-        report_.failover_stall_s += stall_s;
         report_.failover_weight_bytes += net.total_weight_bytes();
       }
     } else if (e.kind == workload::ScenarioEventKind::kThrottleBoard) {
@@ -491,8 +488,7 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
       }
       if (cluster_->config_.rebalance_on_recovery) {
         // Greedily pull streams back while some donor board holds at
-        // least two more than the recovered one. Elective, so the
-        // migration stall cap applies.
+        // least two more than the recovered one.
         for (;;) {
           std::size_t donor = kNoBoard;
           for (std::size_t i = 0; i < n; ++i) {
@@ -508,30 +504,17 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
           // Lightest resident first: cheapest to move, likeliest to fit.
           const std::vector<models::ModelId>& held =
               sessions_[donor].present();
-          const std::vector<double>& held_slos =
-              sessions_[donor].present_slo_s();
-          std::size_t pick = held.size();
-          for (std::size_t v = 0; v < held.size(); ++v)
-            if (pick == held.size() ||
-                working_set(cluster_->zoo_->network(held[v])) <
-                    working_set(cluster_->zoo_->network(held[pick])))
+          std::size_t pick = 0;
+          for (std::size_t v = 1; v < held.size(); ++v)
+            if (working_set(cluster_->zoo_->network(held[v])) <
+                working_set(cluster_->zoo_->network(held[pick])))
               pick = v;
           const models::ModelId m = held[pick];
-          const double slo_s = held_slos[pick];
-          const models::NetworkDesc& net = cluster_->zoo_->network(m);
-          const double stall_s = cross_board_stall(net);
-          if (!admits(b, net, slo_s) ||
-              (cluster_->config_.max_migration_stall_s > 0.0 &&
-               stall_s > cluster_->config_.max_migration_stall_s))
-            break;
-          workload::ScenarioEvent leave;
-          leave.time_s = e.time_s;
-          leave.kind = workload::ScenarioEventKind::kDepart;
-          leave.model = m;
-          serve(donor, leave);
-          arrive_at(b, m, slo_s, e.time_s, stall_s);
+          const double slo_s = sessions_[donor].present_slo_s()[pick];
+          if (!admits(b, cluster_->zoo_->network(m), slo_s)) break;
+          move(donor, b, rearrival(e.time_s, m, slo_s),
+               report_.rebalance_stall_s);
           ++report_.rebalances;
-          report_.rebalance_stall_s += stall_s;
         }
       }
     }
@@ -569,23 +552,14 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
   ++report_.offered_streams;
   const models::NetworkDesc& net = cluster_->zoo_->network(e.model);
   const double slo_s = e.slo_ms / 1e3;
-
-  std::vector<std::size_t> admissible;
-  for (std::size_t i = 0; i < n; ++i)
-    if (admits(i, net, slo_s)) admissible.push_back(i);
+  const std::vector<std::size_t> admissible = admitting(net, slo_s);
   if (admissible.empty()) {
     rejected_[models::model_index(e.model)] = true;
     ++report_.rejected_streams;
     outcome.kind = ApplyKind::kRejected;
-    outcome.board = kNoBoard;
     return outcome;
   }
-
-  const std::vector<BoardView> views = make_views();
-  const std::size_t board = policy_->place(e, net, views, admissible);
-  OB_REQUIRE(std::find(admissible.begin(), admissible.end(), board) !=
-                 admissible.end(),
-             "Cluster::run: policy placed outside the admissible set");
+  const std::size_t board = place(net, admissible);
   const EpochReport& ep = serve(board, e);
   location_[models::model_index(e.model)] = board;
   ++report_.admitted_streams;
@@ -596,34 +570,18 @@ ClusterSession::ApplyOutcome ClusterSession::apply(
   // Rescue: the arrival saturated its board (DES says the mix is not
   // serveable there). Move the arriving stream — the cheapest victim, its
   // weights are the only ones not yet resident anywhere — to another
-  // admitting board, pricing the cross-board weight transfer as a one-off
-  // start stall on its first epoch there.
-  if (cluster_->config_.migrate && !ep.feasible && n > 1) {
-    std::vector<std::size_t> targets;
-    for (std::size_t i = 0; i < n; ++i)
-      if (i != board && admits(i, net, slo_s)) targets.push_back(i);
+  // admitting board. The move re-serves the caller's own event, so the
+  // stream keeps its SLO exactly as given.
+  if (cluster_->config_.migrate && !ep.feasible) {
+    const std::vector<std::size_t> targets = admitting(net, slo_s, board);
     if (!targets.empty()) {
-      const double stall_s = cross_board_stall(net);
-      if (cluster_->config_.max_migration_stall_s <= 0.0 ||
-          stall_s <= cluster_->config_.max_migration_stall_s) {
-        const std::size_t target =
-            policy_->place(e, net, make_views(), targets);
-        OB_REQUIRE(std::find(targets.begin(), targets.end(), target) !=
-                       targets.end(),
-                   "Cluster::run: policy placed outside the target set");
-        workload::ScenarioEvent leave = e;
-        leave.kind = workload::ScenarioEventKind::kDepart;
-        leave.slo_ms = 0.0;  // departures never carry an SLO
-        serve(board, leave);
-        const EpochReport& moved = serve(target, e, stall_s);
-        location_[models::model_index(e.model)] = target;
-        ++report_.migrations;
-        report_.cross_board_stall_s += stall_s;
-        report_.cross_board_weight_bytes += net.total_weight_bytes();
-        outcome.board = target;
-        outcome.migrated = true;
-        outcome.measured_throughput = moved.measured_throughput;
-      }
+      outcome.board = place(net, targets);
+      outcome.migrated = true;
+      outcome.measured_throughput =
+          move(board, outcome.board, e, report_.cross_board_stall_s)
+              .measured_throughput;
+      ++report_.migrations;
+      report_.cross_board_weight_bytes += net.total_weight_bytes();
     }
   }
   return outcome;

@@ -25,9 +25,10 @@
 ///    the move as a cross-board weight transfer (total_weight_bytes over
 ///    cross_board_gbps, plus the migration model's per-segment overhead)
 ///    charged to the stream's first epoch on the new board as a one-off DES
-///    start stall. Cross-board costs are fleet-level accounting
-///    (ClusterReport) — per-board EpochReport migration fields stay
-///    intra-board.
+///    start stall. Failover and rebalance (below) move streams through the
+///    same depart/arrive-with-stall path, uncapped. Cross-board costs are
+///    fleet-level accounting (ClusterReport) — per-board EpochReport
+///    migration fields stay intra-board.
 ///  - *Fault tolerance*: scenario fault events (fail/throttle/recover, see
 ///    workload/scenario.hpp) are fleet-level. On `fail` the cluster evicts
 ///    the board and fails its resident streams over to surviving boards
@@ -67,19 +68,15 @@ struct BoardSpec {
 };
 
 /// Read-only snapshot of one board's live state, handed to placement
-/// policies for every routing decision.
+/// policies for every routing decision (index-aligned with the fleet).
 struct BoardView {
-  std::size_t index = 0;               ///< board index in the fleet
-  const device::DeviceSpec* device = nullptr;
   std::size_t streams = 0;             ///< streams currently serving
   double load_flops = 0.0;             ///< summed total_flops of those streams
   double peak_gflops = 0.0;            ///< summed component peaks (capacity)
   double memory_headroom_bytes = 0.0;  ///< budget minus the residency bound
-  /// DES throughput the board's most recent epoch measured (0 when idle).
-  double last_measured_throughput = 0.0;
 };
 
-/// Routing strategy contract: given the arrival, its network, every board's
+/// Routing strategy contract: given the stream's network, every board's
 /// view, and the (non-empty) set of admitting board indices, return one of
 /// the admissible indices. Must be deterministic — the cluster pins
 /// byte-identical reports across repeated runs for every policy.
@@ -87,8 +84,7 @@ class IPlacementPolicy {
  public:
   virtual ~IPlacementPolicy() = default;
   virtual std::string name() const = 0;
-  virtual std::size_t place(const workload::ScenarioEvent& arrival,
-                            const models::NetworkDesc& net,
+  virtual std::size_t place(const models::NetworkDesc& net,
                             const std::vector<BoardView>& boards,
                             const std::vector<std::size_t>& admissible) = 0;
 };
@@ -114,9 +110,6 @@ struct ClusterConfig {
   /// of the per-segment overhead of ServingConfig::migration (which applies
   /// its default even when the intra-board model is disabled).
   double cross_board_gbps = 1.0;
-  /// Rescue migrations whose priced stall exceeds this are skipped
-  /// (0 = no cap).
-  double max_migration_stall_s = 0.0;
   /// Bypasses admission entirely (every arrival routes; nothing is
   /// rejected). The single-board equivalence pin uses this to guarantee the
   /// cluster replays exactly what ServingRuntime would. Failed boards never
@@ -124,9 +117,8 @@ struct ClusterConfig {
   bool admit_all = false;
   /// After a `recover` event, greedily pull streams back onto the recovered
   /// board from the fleet's most-loaded boards (lightest working set first,
-  /// priced as cross-board transfers, elective — the stall cap applies).
-  /// Off by default: recovery then only restores the board for future
-  /// arrivals.
+  /// priced as cross-board transfers). Off by default: recovery then only
+  /// restores the board for future arrivals.
   bool rebalance_on_recovery = false;
 };
 
@@ -341,7 +333,15 @@ class ClusterSession {
   std::vector<BoardView> make_views() const;
   bool admits(std::size_t board, const models::NetworkDesc& net,
               double slo_s) const;
-  double cross_board_stall(const models::NetworkDesc& net) const;
+  /// The boards that admit \p net under \p slo_s, ascending, skipping
+  /// \p except (kNoBoard skips none).
+  std::vector<std::size_t> admitting(const models::NetworkDesc& net,
+                                     double slo_s,
+                                     std::size_t except = kNoBoard) const;
+  /// The policy's pick among \p admissible (non-empty); throws when the
+  /// policy answers outside it.
+  std::size_t place(const models::NetworkDesc& net,
+                    const std::vector<std::size_t>& admissible);
   /// The choke point every board epoch passes (arrivals, departures, rescues,
   /// failovers, rebalances, refreshes, installs): counts degraded epochs
   /// (non-idle, at reduced speed) and feeds epoch_log_.
@@ -350,8 +350,14 @@ class ClusterSession {
                            const workload::ScenarioEvent& ev,
                            double stall_s = 0.0);
   double working_set(const models::NetworkDesc& net) const;
-  void arrive_at(std::size_t target, models::ModelId m, double slo_s,
-                 double time_s, double stall_s);
+  /// The one stream move (rescue, failover, rebalance): departs
+  /// \p arrival's stream from \p from (kNoBoard when it already left, as on
+  /// a failed board), then arrives \p arrival on \p to with the priced
+  /// cross-board transfer as a start stall, added to \p stall_total_s.
+  /// Returns the arrival's epoch on \p to.
+  const EpochReport& move(std::size_t from, std::size_t to,
+                          const workload::ScenarioEvent& arrival,
+                          double& stall_total_s);
 
   const Cluster* cluster_;
   IPlacementPolicy* policy_;

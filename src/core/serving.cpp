@@ -98,7 +98,6 @@ const EpochReport& ServingSession::apply(IScheduler& scheduler,
     // Idle epoch: nothing to schedule; the next decision starts cold.
     ep.mix = "(idle)";
     have_prev_ = false;
-    last_throughput_ = 0.0;
     ++report_.epoch_count;
     last_ = std::move(ep);
     return last_;
@@ -122,7 +121,6 @@ void ServingSession::evict_all() {
   present_.clear();
   present_slo_s_.clear();
   have_prev_ = false;
-  last_throughput_ = 0.0;
 }
 
 const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
@@ -222,7 +220,6 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
   report_.total_cache_hits += ep.decision.cache_hits;
   report_.total_des_replays += ep.decision.des_replays;
   throughput_sum_ += ep.measured_throughput;
-  last_throughput_ = ep.measured_throughput;
 
   prev_w_ = w;
   prev_mapping_ = ep.decision.mapping;

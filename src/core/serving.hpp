@@ -190,10 +190,6 @@ class ServingSession {
   const std::vector<models::ModelId>& present() const { return present_; }
   const std::vector<double>& present_slo_s() const { return present_slo_s_; }
   bool idle() const { return present_.empty(); }
-  /// DES throughput measured by the most recent non-idle epoch (0 before
-  /// the first decision or right after an idle epoch) — placement policies
-  /// read this as the board's live load signal.
-  double last_measured_throughput() const { return last_throughput_; }
   /// The mapping the most recent non-idle epoch installed (valid only while
   /// has_previous()); false before the first decision and right after an
   /// idle epoch or evict_all(). The serving daemon's background re-search
@@ -228,7 +224,6 @@ class ServingSession {
   double throughput_sum_ = 0.0;
   std::size_t churn_epochs_ = 0;
   double churn_sum_ = 0.0;
-  double last_throughput_ = 0.0;
 
   EpochReport last_;  ///< the epoch apply()/refresh() returned last
   ServingReport report_;  ///< running totals and epoch_count; no epochs

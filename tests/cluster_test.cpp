@@ -609,18 +609,39 @@ TEST(ClusterMigration, RescuesASaturatingArrivalAndPricesTheTransfer) {
                                                       "at 0 arrive AlexNet\n"));
   EXPECT_LT(rep.boards[1].epochs[0].measured_throughput,
             free_run.epochs[0].measured_throughput);
+}
 
-  // A stall cap below the priced transfer suppresses the rescue.
-  ClusterConfig capped = cc;
-  capped.max_migration_stall_s = 1e-6;
-  const Cluster no_rescue(
-      zoo(), {BoardSpec{"cramped", cramped}, BoardSpec{"stock", spec()}},
-      capped);
-  const auto policy2 = core::make_placement_policy("least-loaded");
-  const ClusterReport rep2 =
-      no_rescue.run(greedy_factory(no_rescue), s, *policy2);
-  EXPECT_EQ(rep2.migrations, 0u);
-  EXPECT_FALSE(rep2.boards[0].epochs[0].feasible);
+TEST(ClusterMigration, RescueNeverReturnsToTheBoardItLeaves) {
+  // Board 0 has ten times the compute but too little memory, so best-t
+  // routes the arrival there (lowest utilization), the epoch measures
+  // infeasible, and best-t would pick board 0 again for the rescue — its
+  // utilization stays lowest even with the stream counted twice. The rescue
+  // must exclude it and land on a stock board (the tie breaks to board 1).
+  device::DeviceSpec fast_cramped = device::make_hikey970();
+  fast_cramped.memory_budget_bytes = 0.4e9;
+  for (device::ComponentSpec& c : fast_cramped.components)
+    c.peak_gflops *= 10.0;
+  ClusterConfig cc;
+  cc.admit_all = true;
+  const Cluster cluster(zoo(),
+                        {BoardSpec{"fast-cramped", fast_cramped},
+                         BoardSpec{"stock-a", spec()},
+                         BoardSpec{"stock-b", spec()}},
+                        cc);
+  const auto policy = core::make_placement_policy("best-t");
+  core::ClusterSession session(cluster, greedy_factory(cluster), *policy);
+  ScenarioEvent arrive;
+  arrive.kind = workload::ScenarioEventKind::kArrive;
+  arrive.model = ModelId::kAlexNet;
+  const core::ClusterSession::ApplyOutcome out = session.apply(arrive);
+  EXPECT_TRUE(out.migrated);
+  EXPECT_EQ(out.board, 1u);
+  EXPECT_TRUE(session.session(0).idle());
+  EXPECT_EQ(session.session(1).present().size(), 1u);
+  EXPECT_TRUE(session.session(2).idle());
+  const ClusterReport rep = session.finish();
+  EXPECT_EQ(rep.migrations, 1u);
+  EXPECT_EQ(rep.resident_streams, 1u);
 }
 
 TEST(ClusterPlacement, PoliciesRouteTheFirstArrivalDifferently) {
@@ -734,7 +755,7 @@ TEST(ClusterBounds, MemoryLowerBoundAndLatencyFloorBehave) {
   EXPECT_GT(vgg, alex);
 }
 
-TEST(ClusterConfigValidation, RejectsBadTransferAndStallCapFields) {
+TEST(ClusterConfigValidation, RejectsBadTransferFields) {
   const std::vector<BoardSpec> fleet = core::make_heterogeneous_fleet(1);
   const auto bad = [&](auto mutate) {
     ClusterConfig cc;
@@ -748,10 +769,6 @@ TEST(ClusterConfigValidation, RejectsBadTransferAndStallCapFields) {
   });
   bad([](ClusterConfig& cc) {
     cc.cross_board_gbps = std::numeric_limits<double>::infinity();
-  });
-  bad([](ClusterConfig& cc) { cc.max_migration_stall_s = -0.5; });
-  bad([](ClusterConfig& cc) {
-    cc.max_migration_stall_s = std::numeric_limits<double>::quiet_NaN();
   });
   // The defaults themselves construct fine.
   EXPECT_NO_THROW(Cluster(zoo(), fleet, ClusterConfig{}));

@@ -347,12 +347,12 @@ TEST(DaemonE2E, ClosedLoopRepliesTakeWellUnderADelayedAck) {
   EXPECT_EQ(daemon.shutdown(), 0);
 }
 
-/// Runs `omniboost_cli serve <args>` under a 10 s cap and expects exit 2
-/// with \p want in the output.
-void expect_serve_fails_at_the_flag(const std::string& args,
-                                    const std::string& want) {
-  const std::string cmd = "timeout 10 " + std::string(OMNIBOOST_CLI_PATH) +
-                          " serve " + args + " 2>&1";
+/// Runs `omniboost_cli <args>` under a 10 s cap and expects exit 2 with
+/// \p want in the output.
+void expect_cli_fails_at_the_flag(const std::string& args,
+                                  const std::string& want) {
+  const std::string cmd =
+      "timeout 10 " + std::string(OMNIBOOST_CLI_PATH) + " " + args + " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   ASSERT_NE(pipe, nullptr);
   std::string out;
@@ -363,6 +363,12 @@ void expect_serve_fails_at_the_flag(const std::string& args,
       << args << ": status " << status << ", output: " << out;
   EXPECT_NE(out.find(want), std::string::npos)
       << args << ": no '" << want << "' in: " << out;
+}
+
+/// expect_cli_fails_at_the_flag for the `serve` subcommand.
+void expect_serve_fails_at_the_flag(const std::string& args,
+                                    const std::string& want) {
+  expect_cli_fails_at_the_flag("serve " + args, want);
 }
 
 TEST(CliFlags, BadValuesFailAtTheFlag) {
@@ -408,6 +414,19 @@ TEST(CliFlags, DaemonValuesFailBeforeSetup) {
                                  "--background-slice-ms must be >= 0");
   expect_serve_fails_at_the_flag("--listen 70000",
                                  "--listen must be a port in 0..65535");
+}
+
+TEST(CliFlags, ClientPortMustBeAWholeNumberInRange) {
+  // A trailing non-digit must not truncate the port ("70x0" is not 70), and
+  // an overflowing or non-numeric port must exit 2 naming the target, not
+  // escape as a bare `stoi` failure. Nothing listens: each case fails
+  // before connecting.
+  for (const char* target :
+       {"localhost:70x0", "localhost:99999999999", "localhost:abc"})
+    expect_cli_fails_at_the_flag(
+        std::string("client ") + target + " status",
+        std::string("client: port in '") + target +
+            "' must be a number in 1..65535");
 }
 
 TEST(CliFlags, UnknownKernelFailsAtTheFlag) {

@@ -10,14 +10,20 @@ Runs both binaries over the same fixed matrix and compares their parsed
     seeds (omniboost under both kernels and with a parallel design-time
     pipeline; bnb only on a mix it proves optimal, which is asserted);
   * 36 `serve --json` runs: SLOs, migration cost, board faults and poisson
-    arrivals on boards 1 and 3, seeds 1-3, omniboost (gemm and reference
-    kernels) and greedy, each with `--slo-hard-prune` off and on.
+    arrivals on boards 1 and 3 (`--rebalance` on 3), seeds 1-3, omniboost
+    (gemm and reference kernels) and greedy, each with `--slo-hard-prune`
+    off and on;
+  * one crowded 3-board greedy `serve` run whose faults and load drive
+    every cross-board stream move: rescue, failover and rebalance, plus
+    shedding.
 
 Wall-clock fields (every key ending in `decision_seconds`) are dropped
 before the comparison; everything else must be equal. Estimator training
 runs with small settings (`--samples 40 --epochs 2 --budget 50`) so the
 whole matrix takes seconds. Exits 0 when every run matches, 1 on any
-difference or failed run (each is printed), 2 on bad usage.
+difference or failed run (each is printed), or when one of the move
+counters (MOVE_COUNTERS) sums to 0 over the new binary's serve runs —
+parity over a path nothing ran proves nothing. Exits 2 on bad usage.
 """
 
 from __future__ import annotations
@@ -35,6 +41,13 @@ BNB_MIX = "AlexNet,SqueezeNet"  # small enough for a proved optimum
 SERVE_SCENARIO = ["--arrival", "poisson:0.6", "--horizon", "60",
                   "--slo", "500", "--migration-cost", "1",
                   "--faults", "mtbf:60:mttr:15:throttle:0.5"]
+# Crowds a 3-board fleet until arrivals saturate boards and failures leave
+# streams nowhere to go.
+MOVE_CELL = ["serve", "--json", "--boards", "3", "--seed", "2",
+             "--scheduler", "greedy", "--arrival", "poisson:1",
+             "--horizon", "60", "--lifetime", "60", "--max-concurrent", "11",
+             "--faults", "mtbf:30:mttr:15:throttle:0.5", "--rebalance"]
+MOVE_COUNTERS = ["migrations", "failovers", "rebalances", "shed_streams"]
 TIMEOUT_S = 300
 
 
@@ -59,14 +72,14 @@ def serve_cases() -> list[list[str]]:
                   ["--scheduler", "omniboost", "--kernel", "reference"],
                   ["--scheduler", "greedy"]]
     cases = []
-    for boards in ("1", "3"):
+    for boards in (["--boards", "1"], ["--boards", "3", "--rebalance"]):
         for seed in ("1", "2", "3"):
             for scheduler in schedulers:
                 for prune in ([], ["--slo-hard-prune"]):
-                    cases.append(["serve", "--json", "--boards", boards,
-                                  "--seed", seed, *scheduler, *prune,
-                                  *SERVE_SCENARIO, *SMALL_TRAINING])
-    return cases
+                    cases.append(["serve", "--json", *boards, "--seed", seed,
+                                  *scheduler, *prune, *SERVE_SCENARIO,
+                                  *SMALL_TRAINING])
+    return [*cases, MOVE_CELL]
 
 
 def strip_wall_clock(node):
@@ -124,9 +137,13 @@ def main() -> int:
     old_cli, new_cli = sys.argv[1], sys.argv[2]
     cases = oneshot_cases() + serve_cases()
     failures = 0
+    moves = dict.fromkeys(MOVE_COUNTERS, 0)
     for args in cases:
         label = " ".join(args)
         old, new = run(old_cli, args), run(new_cli, args)
+        if args[0] == "serve" and not isinstance(new, str):
+            for k in MOVE_COUNTERS:
+                moves[k] += new[k]
         if isinstance(old, str) or isinstance(new, str):
             failures += 1
             print(f"FAILED RUN {label}")
@@ -144,6 +161,11 @@ def main() -> int:
             failures += 1
             print(f"DIFFERS {label}\n  {diff}")
     print(f"decision parity: {len(cases) - failures}/{len(cases)} runs equal")
+    print("serve moves: " + " ".join(f"{k}={v}" for k, v in moves.items()))
+    unexercised = [k for k, v in moves.items() if v == 0]
+    if unexercised:
+        failures += 1
+        print(f"UNEXERCISED: {', '.join(unexercised)} sum to 0")
     return 1 if failures else 0
 
 

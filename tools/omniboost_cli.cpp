@@ -26,6 +26,7 @@
 ///   omniboost_cli client localhost:7070 arrive MobileNet slo 100
 
 #include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -802,9 +803,17 @@ int run_client(int argc, char** argv) {
     throw std::invalid_argument("client: target must be <host>:<port>, got '" +
                                 target + "'");
   const std::string host = target.substr(0, colon);
-  const int port = std::stoi(target.substr(colon + 1));
+  // Strict: the whole port is digits and in range; stoi alone would stop at
+  // the first non-digit ("70x0" -> 70) or throw a message naming nothing.
+  const std::string port_text = target.substr(colon + 1);
+  const bool digits =
+      port_text.size() <= 5 &&
+      std::all_of(port_text.begin(), port_text.end(),
+                  [](unsigned char c) { return std::isdigit(c) != 0; });
+  const int port = digits ? std::stoi(port_text) : 0;
   if (port < 1 || port > 65535)
-    throw std::invalid_argument("client: port must be in 1..65535");
+    throw std::invalid_argument("client: port in '" + target +
+                                "' must be a number in 1..65535");
 
   std::string command;
   for (int i = 2; i < argc; ++i) {

@@ -173,17 +173,19 @@ if [ -x "$build_dir/omniboost_cli" ]; then
   # totals keys (`decisions`, `total_*`), which the fleet sums. The
   # omniboost run (SLOs, migration cost, faults on a 3-board fleet) must
   # also DES-replay candidates, so every CI flavor drives the SLO-shaped
-  # warm search end to end.
+  # warm search end to end. The crowded greedy run must rescue, fail over,
+  # rebalance and shed at least once each, so the lane cannot pass without
+  # running every cross-board stream move.
   if command -v python3 > /dev/null 2>&1; then
     echo "== serve JSON smoke =="
-    # serve_json <tag> <replays|-> <serve args...>
+    # serve_json <tag> <replays|moves|-> <serve args...>
     serve_json() {
       tag=$1
-      replays=$2
+      expect=$2
       shift 2
       "$build_dir/omniboost_cli" serve --json "$@" \
         > "$smoke_out/serve-$tag.json"
-      python3 - "$smoke_out/serve-$tag.json" "$replays" <<'PYEOF'
+      python3 - "$smoke_out/serve-$tag.json" "$expect" <<'PYEOF'
 import json, math, sys
 r = json.load(open(sys.argv[1]))
 is_total = lambda k: k == "decisions" or k.startswith("total_")
@@ -199,9 +201,14 @@ for k in totals:
     assert math.isclose(r[k], sum(b[k] for b in r["fleet"])), k + ": fleet sum"
 if sys.argv[2] == "replays":
     assert r["total_des_replays"] > 0, "no DES replays: SLO search never ran"
+moves = ["migrations", "failovers", "rebalances", "shed_streams"]
+if sys.argv[2] == "moves":
+    for k in moves:
+        assert r[k] > 0, k + " is 0: that stream move never ran"
 print(f"serve JSON smoke: {r['boards']} board(s), "
       f"offered={r['offered_streams']} admitted={r['admitted_streams']} "
-      f"des_replays={r['total_des_replays']}")
+      f"des_replays={r['total_des_replays']} " +
+      " ".join(f"{k}={r[k]}" for k in moves))
 PYEOF
     }
     for boards in 1 2; do
@@ -212,6 +219,9 @@ PYEOF
       --arrival poisson:0.6 --horizon 60 --slo 500 --migration-cost 1 \
       --faults mtbf:60:mttr:15:throttle:0.5 --samples 40 --epochs 2 \
       --budget 50
+    serve_json greedy-moves-3 moves --scheduler greedy --boards 3 --seed 2 \
+      --arrival poisson:1 --horizon 60 --lifetime 60 --max-concurrent 11 \
+      --faults mtbf:30:mttr:15:throttle:0.5 --rebalance
   else
     echo "run_tier1.sh: WARNING: python3 not found, skipping the serve" \
          "JSON smoke" >&2
