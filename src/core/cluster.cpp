@@ -390,7 +390,7 @@ const EpochReport& ClusterSession::move(std::size_t from, std::size_t to,
   const models::NetworkDesc& net = cluster_->zoo_->network(arrival.model);
   const double stall_s =
       net.total_weight_bytes() / (cluster_->config_.cross_board_gbps * 1e9) +
-      cluster_->config_.serving.migration.per_segment_overhead_s;
+      sim::kMigrationSegmentOverheadS;
   if (from != kNoBoard) {
     workload::ScenarioEvent leave = arrival;
     leave.kind = workload::ScenarioEventKind::kDepart;

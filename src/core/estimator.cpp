@@ -16,6 +16,10 @@ namespace omniboost::core {
 
 namespace {
 
+/// Smallest embedding the CNN's two 2x2 poolings leave non-empty.
+constexpr std::size_t kMinModelsDim = 2;
+constexpr std::size_t kMinLayersDim = 8;
+
 /// Adds the activation chosen by the configuration.
 void add_activation(nn::Sequential& seq, bool use_gelu) {
   if (use_gelu) {
@@ -66,7 +70,7 @@ ThroughputEstimator::ThroughputEstimator(std::size_t models_dim,
                                          std::size_t layers_dim,
                                          EstimatorConfig config)
     : models_dim_(models_dim), layers_dim_(layers_dim), config_(config) {
-  OB_REQUIRE(models_dim >= 2 && layers_dim >= 8,
+  OB_REQUIRE(models_dim >= kMinModelsDim && layers_dim >= kMinLayersDim,
              "ThroughputEstimator: embedding too small for the CNN");
   for (auto& t : target_transform_) t = util::Affine1D{};
 
@@ -314,6 +318,12 @@ ThroughputEstimator ThroughputEstimator::load(std::istream& is) {
   // Everything the constructor allocates by is checked before it runs.
   const std::size_t models_dim = read_dim(is, "models_dim");
   const std::size_t layers_dim = read_dim(is, "layers_dim");
+  if (models_dim < kMinModelsDim || layers_dim < kMinLayersDim) {
+    throw std::runtime_error(
+        "ThroughputEstimator::load: embedding " + std::to_string(models_dim) +
+        " x " + std::to_string(layers_dim) +
+        " is too small for the CNN (at least 2 x 8)");
+  }
   EstimatorConfig config;
   config.c1 = read_dim(is, "c1");
   config.c2 = read_dim(is, "c2");
@@ -353,8 +363,16 @@ double ThroughputEstimator::compress(double rate) const {
 }
 
 double ThroughputEstimator::expand(double value) const {
-  if (!config_.log_targets) return value;
-  return std::expm1(std::max(value, 0.0)) * config_.log_scale;
+  const double rate = config_.log_targets
+                          ? std::expm1(std::max(value, 0.0)) * config_.log_scale
+                          : value;
+  // Finite weights can still overflow on the way out (a corrupt file's huge
+  // weight or target scale): an infinite reward would steer the search.
+  if (!std::isfinite(rate))
+    throw std::runtime_error(
+        "ThroughputEstimator: non-finite throughput prediction (corrupt "
+        "estimator?)");
+  return rate;
 }
 
 }  // namespace omniboost::core

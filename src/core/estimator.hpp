@@ -65,6 +65,8 @@ class ThroughputEstimator {
                        const nn::Loss& loss, const nn::TrainConfig& train);
 
   /// Predicted per-component throughput, denormalized to inferences/sec.
+  /// Throws std::runtime_error when a denormalized value is not finite
+  /// (predict_batch() and the reward helpers likewise).
   std::array<double, 3> predict(const tensor::Tensor& input) const;
 
   /// Predicted normalized outputs in [0, 1] (the network's raw view).
@@ -114,16 +116,17 @@ class ThroughputEstimator {
 
   /// Reconstructs an estimator from a stream written by save(); the stream
   /// must end there. Throws std::runtime_error on malformed input: a
-  /// dimension outside [1, 1024] (checked before anything is allocated), a
-  /// non-finite log_scale, target transform, parameter or buffer, or
-  /// trailing bytes.
+  /// dimension outside [1, 1024] or an embedding smaller than 2 x 8 (checked
+  /// before anything is allocated), a non-finite log_scale, target
+  /// transform, parameter or buffer, or trailing bytes.
   static ThroughputEstimator load(std::istream& is);
   static ThroughputEstimator load_file(const std::string& path);
 
  private:
   /// Forward transform applied to raw rates before the affine preprocessing.
   double compress(double rate) const;
-  /// Inverse of compress().
+  /// Inverse of compress(); throws std::runtime_error on a non-finite
+  /// result.
   double expand(double value) const;
 
   std::unique_ptr<nn::Sequential> net_;

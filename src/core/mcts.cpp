@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 #include <unordered_map>
 
 #include "util/require.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace omniboost::core {
 
@@ -119,46 +119,26 @@ MctsResult parallel_mcts_search_batched(
   OB_REQUIRE(config.budget >= workers,
              "parallel_mcts_search: budget smaller than worker count");
 
-  if (workers == 1) {
-    Mcts search(layer_counts, make_evaluator(), config);
-    return search.search();
-  }
-
   // Budget split (remainder to the first workers); each worker's seed is a
   // stateless fork of the master seed by worker index (util::fork_stream),
   // so the run is reproducible regardless of thread timing and worker w's
-  // tree is the same no matter how many siblings it has.
-  std::vector<MctsConfig> configs(workers, config);
-  for (std::size_t w = 0; w < workers; ++w) {
-    configs[w].budget = config.budget / workers +
-                        (w < config.budget % workers ? 1 : 0);
-    configs[w].seed = util::fork_stream(config.seed, w);
-  }
-
+  // tree is the same no matter how many siblings it has. A lone worker
+  // keeps the master seed: it is exactly Mcts::search().
   std::vector<MctsResult> results(workers);
-  std::vector<std::exception_ptr> errors(workers);
-  {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        try {
-          Mcts search(layer_counts, make_evaluator(), configs[w]);
-          results[w] = search.search();
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  util::ThreadPool pool(util::ThreadPool::clamped(workers, workers));
+  pool.parallel_for(workers, [&](std::size_t w, std::size_t) {
+    MctsConfig own = config;
+    own.budget =
+        config.budget / workers + (w < config.budget % workers ? 1 : 0);
+    own.seed = workers == 1 ? config.seed : util::fork_stream(config.seed, w);
+    Mcts search(layer_counts, make_evaluator(), own);
+    results[w] = search.search();
+  });
 
-  MctsResult merged;
-  merged.best_reward = -std::numeric_limits<double>::infinity();
-  for (const MctsResult& r : results) {
+  // Merged in worker order, so ties resolve the same for every pool size.
+  MctsResult merged = results[0];
+  for (std::size_t w = 1; w < workers; ++w) {
+    const MctsResult& r = results[w];
     merged.iterations += r.iterations;
     merged.evaluations += r.evaluations;
     merged.cache_hits += r.cache_hits;

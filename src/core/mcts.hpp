@@ -122,7 +122,8 @@ struct MctsResult {
 using BatchEvaluatorFactory = std::function<BatchMappingEvaluator()>;
 
 /// Root-parallelized UCT: \p workers independent trees with forked seeds and
-/// the budget split between them, merged by best reward. With workers == 1
+/// the budget split between them, one util::ThreadPool slot per tree,
+/// merged by best reward in worker order. With workers == 1
 /// this is exactly Mcts::search() (same seed, same result). Decision quality
 /// is comparable at equal total budget; wall-clock drops by ~the worker
 /// count — the knob for shrinking the paper's ~30 s decision latency.

@@ -30,15 +30,16 @@ class Optimizer {
   float lr_;
 };
 
-/// Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
+/// Adam (Kingma & Ba, 2015) at the paper's moments (beta1 0.9, beta2 0.999,
+/// eps 1e-8) with optional decoupled weight decay.
 class Adam final : public Optimizer {
  public:
-  Adam(std::vector<Param*> params, float lr = 1e-3f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
+  Adam(std::vector<Param*> params, float lr = 1e-3f,
+       float weight_decay = 0.0f);
   void step() override;
 
  private:
-  float beta1_, beta2_, eps_, weight_decay_;
+  float weight_decay_;
   std::size_t t_ = 0;
   std::vector<tensor::Tensor> m_, v_;
 };

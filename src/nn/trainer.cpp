@@ -11,6 +11,12 @@
 
 namespace omniboost::nn {
 
+namespace {
+
+constexpr float kWeightDecay = 1e-4f;  ///< Adam's decoupled weight decay
+
+}  // namespace
+
 std::pair<Dataset, Dataset> Dataset::split_tail(std::size_t n) const {
   OB_REQUIRE(n <= size(), "Dataset::split_tail: n exceeds dataset size");
   OB_REQUIRE(inputs.size() == targets.size(), "Dataset: ragged dataset");
@@ -150,8 +156,7 @@ TrainHistory train_regression(Module& model, const Loss& loss,
   OB_REQUIRE(config.batch_size > 0, "train_regression: batch_size must be > 0");
 
   util::Rng rng(config.seed);
-  Adam optim(model.params(), config.lr, 0.9f, 0.999f, 1e-8f,
-             config.weight_decay);
+  Adam optim(model.params(), config.lr, kWeightDecay);
   TrainHistory history;
   model.set_training(true);
 

@@ -38,12 +38,12 @@ Tensor stack(const std::vector<Tensor>& samples,
 /// nn::serialize before use.
 using ModuleFactory = std::function<std::unique_ptr<Module>()>;
 
-/// Training hyper-parameters.
+/// Training hyper-parameters. Adam's decoupled weight decay is fixed at
+/// 1e-4.
 struct TrainConfig {
   std::size_t epochs = 100;   ///< paper: 100 epochs
   std::size_t batch_size = 16;
   float lr = 3e-3f;
-  float weight_decay = 1e-4f;
   std::uint64_t seed = 1;     ///< shuffling seed
   /// Optional per-epoch learning-rate schedule (overrides \c lr when set;
   /// not owned, must outlive the training run).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -55,32 +54,22 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
     for (std::size_t l = 0; l < counts[d]; ++l) coords.push_back({d, l});
   const std::size_t total = coords.size();
 
-  ReducedSpace reduced;
-  if (config_.use_reduction) {
-    reduced = reduce_search_space(*zoo_, w, model_.cost_model().device());
-  }
-  const bool symmetry = config_.use_reduction && reduced.has_symmetry();
+  const ReducedSpace reduced =
+      reduce_search_space(*zoo_, w, model_.cost_model().device());
+  const bool symmetry = reduced.has_symmetry();
 
   const sim::RelaxedBound bound(nets, model_.cost_model());
 
   core::ScheduleResult result;
-  double incumbent_value = -std::numeric_limits<double>::infinity();
-  sim::Mapping incumbent;
-
   const auto evaluate = [&](const sim::Mapping& m) {
     ++result.evaluations;
     return model_.evaluate(nets, m).avg_throughput;
   };
-  const auto greedy_seed = [&]() {
-    GreedyScheduler greedy(*zoo_, model_.cost_model().device());
-    sim::Mapping m = greedy.schedule(w).mapping;
-    const double v = evaluate(m);
-    if (v > incumbent_value) {
-      incumbent_value = v;
-      incumbent = std::move(m);
-    }
-  };
-  if (config_.seed_incumbent) greedy_seed();
+  // Greedy's mapping seeds the incumbent, so the anytime result is never
+  // worse than Greedy's.
+  sim::Mapping incumbent =
+      GreedyScheduler(*zoo_, model_.cost_model().device()).schedule(w).mapping;
+  double incumbent_value = evaluate(incumbent);
   if (seed != nullptr) {
     // The caller's incumbent joins the race: the anytime result can then
     // never be worse than what is already installed.
@@ -146,12 +135,7 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
     for (std::size_t l = 1; l < c.layer; ++l)
       if (partial[c.dnn][l] != partial[c.dnn][l - 1]) ++stages;
 
-    static const std::vector<ComponentId> kEveryComponent(
-        device::kAllComponents.begin(), device::kAllComponents.end());
-    const std::vector<ComponentId>& choices =
-        config_.use_reduction ? reduced.allowed[c.dnn][c.layer]
-                              : kEveryComponent;
-    for (const ComponentId comp : choices) {
+    for (const ComponentId comp : reduced.allowed[c.dnn][c.layer]) {
       if (c.layer > 0) {
         const auto prev =
             static_cast<ComponentId>(partial[c.dnn][c.layer - 1]);
@@ -187,10 +171,6 @@ core::ScheduleResult BranchAndBoundScheduler::schedule_seeded(
     }
   };
   dfs(0);
-
-  // Degenerate budgets (seed_incumbent=false + a tiny node cap) can abort
-  // before the first leaf; the anytime contract still owes a valid mapping.
-  if (!std::isfinite(incumbent_value)) greedy_seed();
 
   result.mapping = incumbent;
   result.expected_reward = incumbent_value;

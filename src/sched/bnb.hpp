@@ -29,20 +29,17 @@
 
 namespace omniboost::sched {
 
-/// Branch-and-bound controls (the stage cap is sim::kStageLimit).
+/// Branch-and-bound budgets. The rest is fixed: the stage cap is
+/// sim::kStageLimit, the incumbent is seeded with GreedyScheduler's mapping
+/// (so the anytime result is never worse than Greedy), and the search runs
+/// over sched::reduce_search_space's reduced space (dominance-pruned
+/// per-layer choices + symmetry-canonical branching), which preserves the
+/// optimal value.
 struct BnbConfig {
   /// Wall-clock budget in milliseconds; 0 = unlimited. Checked coarsely
   /// (every few dozen nodes), so overruns stay in the microsecond range.
   double timeout_ms = 0.0;
   std::size_t max_nodes = 0;  ///< node budget; 0 = unlimited
-  /// Seed the incumbent with GreedyScheduler's mapping, guaranteeing the
-  /// anytime result is never worse than Greedy. Off is useful only for
-  /// order-agreement tests (first-in-canonical-order argmax).
-  bool seed_incumbent = true;
-  /// Run sched::reduce_search_space first and search the reduced space
-  /// (dominance-pruned per-layer choices + symmetry-canonical branching).
-  /// Optimal value is preserved either way; off searches the raw space.
-  bool use_reduction = true;
 };
 
 /// The exact/anytime reference scheduler.

@@ -19,12 +19,8 @@ constexpr std::size_t kMaxMappings = 2'000'000;
 
 ExhaustiveScheduler::ExhaustiveScheduler(std::string name,
                                          const models::ModelZoo& zoo,
-                                         WorkloadEvaluatorFactory evaluator,
-                                         ExhaustiveConfig config)
-    : name_(std::move(name)),
-      zoo_(&zoo),
-      factory_(std::move(evaluator)),
-      config_(config) {
+                                         WorkloadEvaluatorFactory evaluator)
+    : name_(std::move(name)), zoo_(&zoo), factory_(std::move(evaluator)) {
   OB_REQUIRE(factory_ != nullptr, "ExhaustiveScheduler: null factory");
 }
 
@@ -39,21 +35,11 @@ core::ScheduleResult ExhaustiveScheduler::schedule(const workload::Workload& w) 
   const core::MappingEvaluator evaluate = factory_(w);
   const std::vector<std::size_t> counts = w.layer_counts(*zoo_);
 
-  if (config_.reduce != nullptr) {
-    OB_REQUIRE(config_.reduce->allowed.size() == counts.size(),
-               "ExhaustiveScheduler: reduction/workload shape mismatch");
-  }
-
   std::vector<std::vector<sim::Assignment>> per_dnn;
   per_dnn.reserve(counts.size());
-  for (std::size_t d = 0; d < counts.size(); ++d) {
-    const LayerChoices* allowed =
-        config_.reduce != nullptr ? &config_.reduce->allowed[d] : nullptr;
-    per_dnn.push_back(enumerate_assignments(counts[d], sim::kStageLimit,
-                                            kMaxMappings, allowed));
-    OB_REQUIRE(!per_dnn.back().empty(),
-               "ExhaustiveScheduler: reduction emptied a DNN's space");
-  }
+  for (const std::size_t layers : counts)
+    per_dnn.push_back(
+        enumerate_assignments(layers, sim::kStageLimit, kMaxMappings));
 
   core::ScheduleResult result;
   result.expected_reward = -std::numeric_limits<double>::infinity();

@@ -7,39 +7,23 @@
 /// true optimum*, which the test suite uses to certify how close MCTS and the
 /// other searches land.
 
-#include <cstdint>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "core/scheduler.hpp"
 #include "models/zoo.hpp"
-#include "sched/reduce.hpp"
 #include "sched/search_common.hpp"
 
 namespace omniboost::sched {
 
-/// Exhaustive-search controls. The enumeration helpers formerly declared
-/// here (count_assignments, count_mappings, enumerate_assignments) live in
-/// sched/search_common.hpp, shared with the branch-and-bound scheduler and
-/// the reduce pass so all exact searches agree on one canonical order.
-struct ExhaustiveConfig {
-  /// Optional pre-computed reduction (sched::reduce_search_space) restricting
-  /// per-layer choices. Must match the scheduled workload's shape. Null (the
-  /// default) enumerates the full space, preserving the historical
-  /// evaluations == count_mappings contract the tests pin.
-  std::shared_ptr<const ReducedSpace> reduce;
-};
-
 /// The exact optimizer. Only usable on tiny workloads; the ablation tests
-/// use it as ground truth. schedule() throws when the workload's space holds
-/// more than 2,000,000 mappings; the cap is checked against the UNRESTRICTED
-/// space even when a reduction is installed, so reduction never changes
-/// which workloads are accepted.
+/// use it as ground truth. It enumerates the full space (evaluations ==
+/// count_mappings) in the canonical order of sched/search_common.hpp, which
+/// it shares with the branch-and-bound scheduler, and throws when the
+/// workload's space holds more than 2,000,000 mappings.
 class ExhaustiveScheduler final : public core::IScheduler {
  public:
   ExhaustiveScheduler(std::string name, const models::ModelZoo& zoo,
-                      WorkloadEvaluatorFactory evaluator,
-                      ExhaustiveConfig config = {});
+                      WorkloadEvaluatorFactory evaluator);
 
   std::string name() const override { return name_; }
 
@@ -50,7 +34,6 @@ class ExhaustiveScheduler final : public core::IScheduler {
   std::string name_;
   const models::ModelZoo* zoo_;
   WorkloadEvaluatorFactory factory_;
-  ExhaustiveConfig config_;
 };
 
 }  // namespace omniboost::sched

@@ -32,8 +32,6 @@ FallbackScheduler::FallbackScheduler(std::unique_ptr<core::IScheduler> primary,
              "FallbackScheduler: both schedulers are required");
   OB_REQUIRE(std::isfinite(config_.deadline_ms) && config_.deadline_ms >= 0.0,
              "FallbackScheduler: deadline_ms must be finite and >= 0");
-  OB_REQUIRE(config_.max_attempts >= 1,
-             "FallbackScheduler: max_attempts must be >= 1");
 }
 
 std::string FallbackScheduler::name() const {
@@ -45,7 +43,7 @@ core::ScheduleResult FallbackScheduler::guarded(const Attempt& attempt) {
   const auto start = std::chrono::steady_clock::now();
   if (config_.deadline_ms > 0.0) {
     double allowed_s = config_.deadline_ms / 1e3;
-    for (std::size_t k = 0; k < config_.max_attempts; ++k) {
+    for (std::size_t k = 0; k < kMaxPrimaryAttempts; ++k) {
       if (k > 0) ++stats_.retries;
       const auto attempt_start = std::chrono::steady_clock::now();
       try {

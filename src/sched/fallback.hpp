@@ -13,9 +13,9 @@
 /// result that came back after the attempt's deadline is discarded as stale
 /// (by the time it is ready the epoch has moved on). Each retry doubles the
 /// allowed deadline (retrying under the identical budget would fail the
-/// identical way); after max_attempts the fallback decides. A deadline_ms of
-/// 0 never invokes the primary at all — every epoch provably serves through
-/// the fallback (pinned by tests/fallback_test.cpp).
+/// identical way); after kMaxPrimaryAttempts the fallback decides. A
+/// deadline_ms of 0 never invokes the primary at all — every epoch provably
+/// serves through the fallback (pinned by tests/fallback_test.cpp).
 ///
 /// Determinism caveat: with a finite nonzero deadline the decision depends
 /// on wall-clock timing and is NOT replay-deterministic. The two extremes
@@ -33,15 +33,16 @@
 
 namespace omniboost::sched {
 
+/// Primary attempts before the fallback decides. Attempt k runs under
+/// FallbackConfig::deadline_ms * 2^k.
+inline constexpr std::size_t kMaxPrimaryAttempts = 2;
+
 /// Deadline-guard controls.
 struct FallbackConfig {
   /// Wall-clock budget of the first primary attempt, in milliseconds. 0
   /// skips the primary entirely: every decision is served by the fallback.
   /// Must be finite and >= 0.
   double deadline_ms = 50.0;
-  /// Primary attempts before the fallback decides (>= 1). Attempt k runs
-  /// under deadline_ms * 2^k.
-  std::size_t max_attempts = 2;
 };
 
 /// Cumulative decision accounting across the wrapper's lifetime.

@@ -15,6 +15,9 @@ using device::kNumComponents;
 
 namespace {
 
+constexpr std::size_t kPopulation = 8;
+constexpr std::size_t kGenerations = 3;
+constexpr double kFitnessNoise = 0.20;  ///< relative noise of one measurement
 constexpr std::size_t kTournament = 3;
 constexpr double kCrossoverRate = 0.9;
 constexpr double kMutationRate = 0.02;  ///< per-gene reassignment probability
@@ -30,11 +33,7 @@ struct Chromosome {
 
 GaScheduler::GaScheduler(const models::ModelZoo& zoo,
                          const device::DeviceSpec& device, GaConfig config)
-    : zoo_(&zoo), board_(device), config_(config) {
-  // At least four chromosomes also leave room for offspring beside the
-  // kElitism elites.
-  OB_REQUIRE(config_.population >= 4, "GaScheduler: population too small");
-}
+    : zoo_(&zoo), board_(device), config_(config) {}
 
 void GaScheduler::repair_stages(sim::Assignment& a, std::size_t max_stages) {
   OB_REQUIRE(max_stages >= 1, "repair_stages: bad limit");
@@ -101,13 +100,13 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
     // One short on-board measurement: true throughput plus sampling noise.
     const double measured = board_.simulate(nets, m).avg_throughput;
     ch.fitness =
-        measured * std::max(0.0, 1.0 + config_.fitness_noise * rng.normal());
+        measured * std::max(0.0, 1.0 + kFitnessNoise * rng.normal());
     ++result.evaluations;
     result.board_seconds += kGaBoardSecondsPerEval;
   };
 
   // --- Initial population: random stage-limited mappings.
-  std::vector<Chromosome> pop(config_.population);
+  std::vector<Chromosome> pop(kPopulation);
   for (Chromosome& ch : pop) {
     ch.genes.reserve(total);
     for (std::size_t c : counts) {
@@ -128,7 +127,7 @@ core::ScheduleResult GaScheduler::schedule(const workload::Workload& w) {
   };
 
   // --- Evolution loop ("retraining" per queried workload).
-  for (std::size_t gen = 0; gen < config_.generations; ++gen) {
+  for (std::size_t gen = 0; gen < kGenerations; ++gen) {
     std::sort(pop.begin(), pop.end(),
               [](const Chromosome& a, const Chromosome& b) {
                 return a.fitness > b.fitness;

@@ -16,16 +16,14 @@
 
 namespace omniboost::sched {
 
-/// GA hyper-parameters. The rest are fixed: tournament size 3, crossover
-/// rate 0.9, per-gene mutation rate 0.02, two elite chromosomes copied
-/// unchanged per generation, and the sim::kStageLimit stage cap.
+/// GA controls. The hyper-parameters are fixed: 8 chromosomes evolved for 3
+/// generations, tournament size 3, crossover rate 0.9, per-gene mutation
+/// rate 0.02, two elite chromosomes copied unchanged per generation, the
+/// sim::kStageLimit stage cap, and 20% relative noise on every fitness
+/// measurement: on the physical board each chromosome is timed over a short
+/// window, so the GA selects on noisy observations (a key reason it trails
+/// OmniBoost in the paper).
 struct GaConfig {
-  std::size_t population = 8;
-  std::size_t generations = 3;
-  /// Relative noise of one fitness measurement: on the physical board each
-  /// chromosome is timed over a short window, so the GA selects on noisy
-  /// observations (a key reason it trails OmniBoost in the paper).
-  double fitness_noise = 0.20;
   std::uint64_t seed = 1234;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 
 #include "util/require.hpp"
@@ -34,6 +35,8 @@ double LinearLatencyModel::predict(const models::LayerDesc& l) const {
 namespace {
 
 constexpr double kMeasurementNoise = 0.05;  ///< relative jitter of board timings
+constexpr std::size_t kDataPoints = 14'000;  ///< board measurements fitted
+constexpr std::uint64_t kSeed = 97;          ///< seeds the measurement jitter
 
 /// Solves the 6x6 normal equations A w = b (Gaussian elimination with
 /// partial pivoting; A is SPD up to noise so this is ample).
@@ -66,15 +69,12 @@ std::array<double, LinearLatencyModel::kFeatures> solve_normal_equations(
 }  // namespace
 
 MosaicScheduler::MosaicScheduler(const models::ModelZoo& zoo,
-                                 const device::DeviceSpec& device,
-                                 MosaicConfig config)
-    : zoo_(&zoo), device_(device), config_(config) {
-  OB_REQUIRE(config_.data_points > 0, "MosaicScheduler: zero data points");
-
+                                 const device::DeviceSpec& device)
+    : zoo_(&zoo), device_(device) {
   // --- Offline data collection: repeated noisy layer measurements on every
   // component, round-robin over the zoo until the data-point budget is hit.
   const device::CostModel cost(device_);
-  util::Rng rng(config_.seed);
+  util::Rng rng(kSeed);
 
   struct Accum {
     std::array<std::array<double, 6>, 6> xtx{};
@@ -83,11 +83,11 @@ MosaicScheduler::MosaicScheduler(const models::ModelZoo& zoo,
   std::array<Accum, kNumComponents> acc;
 
   std::size_t collected = 0;
-  while (collected < config_.data_points) {
+  while (collected < kDataPoints) {
     for (const models::NetworkDesc& net : zoo_->networks()) {
       for (const models::LayerDesc& layer : net.layers) {
         for (std::size_t c = 0; c < kNumComponents; ++c) {
-          if (collected >= config_.data_points) break;
+          if (collected >= kDataPoints) break;
           const auto comp = static_cast<ComponentId>(c);
           const double t = cost.layer_time(layer, comp) *
                            (1.0 + kMeasurementNoise * rng.normal());

@@ -8,7 +8,6 @@
 /// overloads the GPU on heavy mixes (paper §V-A).
 
 #include <array>
-#include <cstdint>
 
 #include "core/scheduler.hpp"
 #include "device/cost_model.hpp"
@@ -27,20 +26,15 @@ struct LinearLatencyModel {
   double predict(const models::LayerDesc& l) const;
 };
 
-/// MOSAIC controls. Board timings carry a fixed 5% relative jitter.
-struct MosaicConfig {
-  std::size_t data_points = 14'000;  ///< paper: "more than 14,000 data points"
-  std::uint64_t seed = 97;
-};
-
 /// The MOSAIC scheduler.
 class MosaicScheduler final : public core::IScheduler {
  public:
-  /// Trains the per-component linear models from simulated on-board layer
-  /// measurements (cost model + multiplicative noise). The training cost is
-  /// recorded and reported by the run-time bench.
+  /// Trains the per-component linear models from 14,000 simulated on-board
+  /// layer measurements (paper: "more than 14,000 data points"): cost model
+  /// times a fixed 5% relative jitter, seeded. The training cost is recorded
+  /// and reported by the run-time bench.
   MosaicScheduler(const models::ModelZoo& zoo,
-                  const device::DeviceSpec& device, MosaicConfig config = {});
+                  const device::DeviceSpec& device);
 
   std::string name() const override { return "MOSAIC"; }
   core::ScheduleResult schedule(const workload::Workload& w) override;
@@ -68,7 +62,6 @@ class MosaicScheduler final : public core::IScheduler {
 
   const models::ModelZoo* zoo_;
   device::DeviceSpec device_;
-  MosaicConfig config_;
   std::array<LinearLatencyModel, device::kNumComponents> model_{};
   double training_board_seconds_ = 0.0;
   std::size_t training_samples_ = 0;

@@ -22,8 +22,7 @@
 ///     exported as equivalence classes, not list drops: dropping a duplicate
 ///     component entirely would be unsound (optima may use both at once).
 ///
-/// Consumers: BranchAndBoundScheduler (both reductions) and
-/// ExhaustiveScheduler (allowed lists, via ExhaustiveConfig::reduce).
+/// Consumer: BranchAndBoundScheduler (both reductions).
 
 #include <array>
 #include <vector>
@@ -34,6 +33,10 @@
 #include "workload/workload.hpp"
 
 namespace omniboost::sched {
+
+/// Per-layer component restriction for one DNN: allowed[l] lists the
+/// components layer l may use, in kAllComponents order.
+using LayerChoices = std::vector<std::vector<device::ComponentId>>;
 
 /// The reduced search space of one workload.
 struct ReducedSpace {

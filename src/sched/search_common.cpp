@@ -67,18 +67,13 @@ double binomial(std::size_t n, std::size_t k) {
 /// Canonical depth-first emit: layer \p l next, \p stages stages opened so
 /// far, components in kAllComponents order.
 void emit_assignments(std::size_t l, std::size_t stages,
-                      std::size_t stage_limit, const LayerChoices* allowed,
-                      sim::Assignment& scratch,
+                      std::size_t stage_limit, sim::Assignment& scratch,
                       std::vector<sim::Assignment>& out) {
   if (l == scratch.size()) {
     out.push_back(scratch);
     return;
   }
-  static const std::vector<device::ComponentId> kEveryComponent(
-      device::kAllComponents.begin(), device::kAllComponents.end());
-  const std::vector<device::ComponentId>& choices =
-      allowed != nullptr ? (*allowed)[l] : kEveryComponent;
-  for (const device::ComponentId comp : choices) {
+  for (const device::ComponentId comp : device::kAllComponents) {
     std::size_t next_stages = 1;
     if (l > 0) {
       if (comp == scratch[l - 1]) {
@@ -90,7 +85,7 @@ void emit_assignments(std::size_t l, std::size_t stages,
       }
     }
     scratch[l] = comp;
-    emit_assignments(l + 1, next_stages, stage_limit, allowed, scratch, out);
+    emit_assignments(l + 1, next_stages, stage_limit, scratch, out);
   }
 }
 
@@ -120,17 +115,14 @@ double count_mappings(const models::ModelZoo& zoo, const workload::Workload& w,
 
 std::vector<sim::Assignment> enumerate_assignments(std::size_t layers,
                                                    std::size_t stage_limit,
-                                                   std::size_t max_count,
-                                                   const LayerChoices* allowed) {
+                                                   std::size_t max_count) {
   const double count = count_assignments(layers, stage_limit);
   OB_REQUIRE(count <= static_cast<double>(max_count),
              "enumerate_assignments: space exceeds max_count");
-  OB_REQUIRE(allowed == nullptr || allowed->size() == layers,
-             "enumerate_assignments: allowed-list/layer-count mismatch");
   std::vector<sim::Assignment> out;
   out.reserve(static_cast<std::size_t>(count));
   sim::Assignment scratch(layers, device::ComponentId::kGpu);
-  emit_assignments(0, 1, stage_limit, allowed, scratch, out);
+  emit_assignments(0, 1, stage_limit, scratch, out);
   return out;
 }
 

@@ -57,11 +57,6 @@ WorkloadEvaluatorFactory analytic_evaluator_factory(
 // skipping stage-infeasible prefixes. The first assignment is therefore
 // all-GPU, and the order is lexicographic in per-layer component indices.
 
-/// Per-layer component restriction for one DNN: allowed[l] lists the
-/// components layer l may use, in kAllComponents order. Produced by the
-/// reduce pass (ReducedSpace::allowed), consumed by the exact searches.
-using LayerChoices = std::vector<std::vector<device::ComponentId>>;
-
 /// Number of assignments of \p layers layers with at most \p stage_limit
 /// contiguous stages on kNumComponents components:
 ///   sum_{s=1..min(x,L)} C(L-1, s-1) * k * (k-1)^(s-1).
@@ -74,12 +69,10 @@ double count_mappings(const models::ModelZoo& zoo, const workload::Workload& w,
                       std::size_t stage_limit);
 
 /// Materializes every stage-limited assignment of one DNN, in canonical
-/// order. Throws when the unrestricted count exceeds \p max_count (guard
-/// against accidental exponential blow-up). When \p allowed is non-null it
-/// must have one entry per layer; assignments using a disallowed component
-/// are skipped.
-std::vector<sim::Assignment> enumerate_assignments(
-    std::size_t layers, std::size_t stage_limit, std::size_t max_count,
-    const LayerChoices* allowed = nullptr);
+/// order. Throws when the count exceeds \p max_count (guard against
+/// accidental exponential blow-up).
+std::vector<sim::Assignment> enumerate_assignments(std::size_t layers,
+                                                   std::size_t stage_limit,
+                                                   std::size_t max_count);
 
 }  // namespace omniboost::sched

@@ -10,6 +10,8 @@ namespace omniboost::sim {
 
 namespace {
 
+constexpr std::size_t kWidth = 72;  ///< character columns for the time axis
+
 char stream_glyph(std::size_t dnn) {
   if (dnn < 10) return static_cast<char>('0' + dnn);
   if (dnn < 36) return static_cast<char>('a' + (dnn - 10));
@@ -18,24 +20,22 @@ char stream_glyph(std::size_t dnn) {
 
 }  // namespace
 
-std::string render_gantt(const ExecutionTrace& trace,
-                         const GanttConfig& config) {
+std::string render_gantt(const ExecutionTrace& trace) {
   OB_REQUIRE(!trace.events.empty(),
              "render_gantt: trace has no events (run simulate_traced with "
              "record_events = true)");
-  OB_REQUIRE(config.width >= 8, "render_gantt: width too small");
 
   const double t0 = trace.warmup_seconds;
   const double t1 = trace.horizon_seconds;
   OB_REQUIRE(t1 > t0, "render_gantt: empty time window");
-  const double bucket = (t1 - t0) / static_cast<double>(config.width);
+  const double bucket = (t1 - t0) / static_cast<double>(kWidth);
 
   // Per component, per column: coverage per stream; dominant stream wins.
   std::string out;
   for (const device::ComponentId comp : device::kAllComponents) {
-    std::string lane(config.width, '.');
+    std::string lane(kWidth, '.');
     std::vector<std::vector<std::pair<std::size_t, double>>> cover(
-        config.width);
+        kWidth);
     for (const TraceEvent& ev : trace.events) {
       if (ev.comp != comp) continue;
       const double start = std::max(ev.start, t0);
@@ -43,7 +43,7 @@ std::string render_gantt(const ExecutionTrace& trace,
       if (end <= start) continue;
       const auto first = static_cast<std::size_t>((start - t0) / bucket);
       auto last = static_cast<std::size_t>((end - t0) / bucket);
-      last = std::min(last, config.width - 1);
+      last = std::min(last, kWidth - 1);
       for (std::size_t col = first; col <= last; ++col) {
         const double col_start = t0 + static_cast<double>(col) * bucket;
         const double overlap = std::min(end, col_start + bucket) -
@@ -61,7 +61,7 @@ std::string render_gantt(const ExecutionTrace& trace,
         }
       }
     }
-    for (std::size_t col = 0; col < config.width; ++col) {
+    for (std::size_t col = 0; col < kWidth; ++col) {
       const auto& entries = cover[col];
       if (entries.empty()) continue;
       const auto best = std::max_element(

@@ -15,17 +15,11 @@
 
 namespace omniboost::sim {
 
-/// Rendering controls.
-struct GanttConfig {
-  std::size_t width = 72;      ///< character columns for the time axis
-};
-
 /// Renders the trace's recorded events over the measurement window (warm-up
-/// excluded); requires simulate_traced(..., record_events = true) and
-/// throws if the trace has no events. Streams are
+/// excluded) on a 72-column time axis; requires simulate_traced(...,
+/// record_events = true) and throws if the trace has no events. Streams are
 /// drawn as '0'..'9' then 'a'..'z'; idle time as '.'. When several events
 /// share a bucket the one covering most of it wins.
-std::string render_gantt(const ExecutionTrace& trace,
-                         const GanttConfig& config = {});
+std::string render_gantt(const ExecutionTrace& trace);
 
 }  // namespace omniboost::sim

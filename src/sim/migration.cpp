@@ -10,21 +10,15 @@ namespace omniboost::sim {
 MigrationCostModel::MigrationCostModel(const device::DeviceSpec& device,
                                        MigrationCostConfig config)
     : device_(device), config_(config) {
-  OB_REQUIRE(config_.upload_gbps >= 0.0 && std::isfinite(config_.upload_gbps),
-             "MigrationCostModel: upload_gbps must be finite and >= 0");
-  OB_REQUIRE(config_.per_segment_overhead_s >= 0.0 &&
-                 std::isfinite(config_.per_segment_overhead_s),
-             "MigrationCostModel: per_segment_overhead_s must be >= 0");
   OB_REQUIRE(config_.scale >= 0.0 && std::isfinite(config_.scale),
              "MigrationCostModel: scale must be finite and >= 0");
   // Only an ENABLED model needs upload bandwidth: the serving runtime
   // constructs a (usually disabled) model for every board unconditionally,
   // and a zero-bandwidth link is a legal device profile as long as nobody
   // charges migrations on it.
-  OB_REQUIRE(!config_.enabled || config_.upload_gbps > 0.0 ||
-                 device_.link.bandwidth_gbps > 0.0,
+  OB_REQUIRE(!config_.enabled || device_.link.bandwidth_gbps > 0.0,
              "MigrationCostModel: enabled but no usable upload bandwidth "
-             "(upload_gbps and the device link are both zero)");
+             "(the device link is zero)");
 }
 
 MigrationStats MigrationCostModel::assess(
@@ -36,10 +30,7 @@ MigrationStats MigrationCostModel::assess(
   OB_REQUIRE(carried_from.size() == next.num_dnns(),
              "MigrationCostModel::assess: carried_from arity mismatch");
 
-  const double upload_bps =
-      (config_.upload_gbps > 0.0 ? config_.upload_gbps
-                                 : device_.link.bandwidth_gbps) *
-      1e9;
+  const double upload_bps = device_.link.bandwidth_gbps * 1e9;
   // Diagnosed here (not only at construction) because a disabled model may
   // legally live on a zero-bandwidth board — but assessing one would emit
   // infinite stalls.
@@ -85,7 +76,7 @@ MigrationStats MigrationCostModel::assess(
     const double delay =
         config_.scale *
         (bytes / upload_bps +
-         static_cast<double>(migrated_segments) * config_.per_segment_overhead_s);
+         static_cast<double>(migrated_segments) * kMigrationSegmentOverheadS);
     stats.stream_delay_s[d] = delay;
     stats.moved_layers += moved;
     stats.migrated_segments += migrated_segments;

@@ -21,17 +21,17 @@
 
 namespace omniboost::sim {
 
-/// Knobs of the churn-cost model.
+/// Fixed overhead per migrated segment, in seconds: runtime graph
+/// re-instantiation, cache/TLB warm-up, map/unmap synchronization.
+inline constexpr double kMigrationSegmentOverheadS = 2e-3;
+
+/// Knobs of the churn-cost model. Weights re-upload at the device's
+/// inter-component link bandwidth (DeviceSpec::link.bandwidth_gbps), and
+/// every migrated segment adds kMigrationSegmentOverheadS.
 struct MigrationCostConfig {
   /// Master switch. False = migrations are free (the pre-model behaviour);
   /// callers must not charge any delay.
   bool enabled = false;
-  /// Effective weight-upload bandwidth in GB/s; 0 = use the device's
-  /// inter-component link bandwidth (DeviceSpec::link.bandwidth_gbps).
-  double upload_gbps = 0.0;
-  /// Fixed overhead per migrated segment: runtime graph re-instantiation,
-  /// cache/TLB warm-up, map/unmap synchronization.
-  double per_segment_overhead_s = 2e-3;
   /// Global scale on the total stall (bench sweeps live here: 0 would be
   /// free-but-accounted, 1 the calibrated cost, >1 a pessimistic board).
   double scale = 1.0;

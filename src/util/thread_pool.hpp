@@ -1,8 +1,8 @@
 #pragma once
 /// \file thread_pool.hpp
 /// A small fixed-size worker pool for the design-time pipeline (dataset
-/// generation, trainer validation) and any other embarrassingly-index-
-/// parallel loop.
+/// generation, trainer validation), the root-parallel MCTS search, and any
+/// other embarrassingly-index-parallel loop.
 ///
 /// Determinism contract: parallel_for(n, fn) runs fn(i, worker) exactly once
 /// for every i in [0, n). Work is handed out dynamically (an atomic index

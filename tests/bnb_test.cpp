@@ -54,7 +54,7 @@ std::vector<Workload> tractable_workloads() {
 }
 
 core::ScheduleResult exhaustive_opt(const Workload& w) {
-  sched::ExhaustiveScheduler exact("exact", zoo(), analytic_factory(), {});
+  sched::ExhaustiveScheduler exact("exact", zoo(), analytic_factory());
   return exact.schedule(w);
 }
 
@@ -79,21 +79,6 @@ TEST(BnbExactness, MatchesExhaustiveOnEveryTractableWorkload) {
   }
 }
 
-TEST(BnbExactness, RawSpaceMatchesToo) {
-  // Reduction off: same optimum from the unreduced space.
-  for (const Workload& w : tractable_workloads()) {
-    const auto exact = exhaustive_opt(w);
-    sched::BnbConfig cfg;
-    cfg.use_reduction = false;
-    sched::BranchAndBoundScheduler bnb("BnB-raw", zoo(),
-                                       device::make_hikey970(), cfg);
-    const auto r = bnb.schedule(w);
-    EXPECT_DOUBLE_EQ(r.expected_reward, exact.expected_reward)
-        << "mix=" << w.describe();
-    EXPECT_TRUE(*r.proved_optimal);
-  }
-}
-
 TEST(BnbExactness, SeededWorkloadPicks) {
   // Three seeded draws over the tractable pool — the pinned "3 seeds" form.
   const auto pool = tractable_workloads();
@@ -108,22 +93,6 @@ TEST(BnbExactness, SeededWorkloadPicks) {
         << "seed=" << seed << " mix=" << w.describe();
     EXPECT_TRUE(*r.proved_optimal);
   }
-}
-
-TEST(BnbExactness, OrderAgreementReturnsIdenticalMapping) {
-  // Without incumbent seeding both searches keep the FIRST strict
-  // improvement in the shared canonical order, so even the argmax mapping —
-  // not just its value — must coincide (the order-agreement golden).
-  const Workload w{{ModelId::kAlexNet}};
-  const auto exact = exhaustive_opt(w);
-  sched::BnbConfig cfg;
-  cfg.seed_incumbent = false;
-  cfg.use_reduction = false;
-  sched::BranchAndBoundScheduler bnb("BnB", zoo(), device::make_hikey970(),
-                                     cfg);
-  const auto r = bnb.schedule(w);
-  EXPECT_EQ(r.mapping, exact.mapping);
-  EXPECT_DOUBLE_EQ(r.expected_reward, exact.expected_reward);
 }
 
 // --- Anytime contract ------------------------------------------------------

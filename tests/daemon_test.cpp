@@ -397,6 +397,21 @@ TEST(CliFlags, BadValuesFailAtTheFlag) {
     cases.emplace_back(rollout + "nan",
                        "option --rollout-fraction expects a number");
   }
+  // The scenario generators' values, checked before any scenario is drawn.
+  for (const char* value : {"-0.5", "2"})
+    cases.emplace_back(std::string("--scheduler greedy --depart-bias ") + value,
+                       "--depart-bias must be in [0, 1]");
+  for (const char* mode : {"", " --arrival poisson:1"})
+    cases.emplace_back(
+        std::string("--scheduler greedy --max-concurrent 20") + mode,
+        "--max-concurrent must be <= 11");
+  cases.emplace_back("--scheduler greedy --min-concurrent 3 --max-concurrent 2",
+                     "--min-concurrent must be <= --max-concurrent");
+  cases.emplace_back(
+      "--scheduler greedy --min-concurrent 3 --max-concurrent 3 --events 4",
+      "--events must be <= --max-concurrent when --min-concurrent equals it");
+  cases.emplace_back("--scheduler greedy --interarrival -1",
+                     "--interarrival must be >= 0");
   for (const auto& [args, want] : cases)
     expect_serve_fails_at_the_flag(args, want);
 }

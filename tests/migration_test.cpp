@@ -58,7 +58,6 @@ TEST(MigrationCostModel, ChargesMovedWeightBytesAndSegmentOverheads) {
 
   sim::MigrationCostConfig cfg;
   cfg.enabled = true;
-  cfg.per_segment_overhead_s = 5e-3;
   cfg.scale = 2.0;
   const sim::MigrationCostModel model(spec(), cfg);
   const sim::MigrationStats stats = model.assess(nets, prev, {0}, next);
@@ -67,7 +66,7 @@ TEST(MigrationCostModel, ChargesMovedWeightBytesAndSegmentOverheads) {
       alex.layers[0].weight_bytes + alex.layers[n - 1].weight_bytes;
   const double expected =
       cfg.scale * (bytes / (spec().link.bandwidth_gbps * 1e9) +
-                   2.0 * cfg.per_segment_overhead_s);
+                   2.0 * sim::kMigrationSegmentOverheadS);
   EXPECT_EQ(stats.moved_layers, 2u);
   EXPECT_EQ(stats.migrated_segments, 2u);
   EXPECT_DOUBLE_EQ(stats.moved_weight_bytes, bytes);
@@ -76,11 +75,11 @@ TEST(MigrationCostModel, ChargesMovedWeightBytesAndSegmentOverheads) {
   EXPECT_DOUBLE_EQ(stats.total_delay_s, expected);
   EXPECT_DOUBLE_EQ(stats.max_delay_s, expected);
 
-  // An explicit upload bandwidth overrides the device link.
-  sim::MigrationCostConfig fast = cfg;
-  fast.upload_gbps = 10.0 * spec().link.bandwidth_gbps;
+  // Weights upload over the device link: a faster link stalls less.
+  device::DeviceSpec fast = spec();
+  fast.link.bandwidth_gbps *= 10.0;
   const sim::MigrationStats faster =
-      sim::MigrationCostModel(spec(), fast).assess(nets, prev, {0}, next);
+      sim::MigrationCostModel(fast, cfg).assess(nets, prev, {0}, next);
   EXPECT_LT(faster.total_delay_s, stats.total_delay_s);
 }
 
@@ -98,7 +97,6 @@ TEST(MigrationCostModel, PartiallyMovedSegmentChargesOneOverhead) {
   sim::Assignment next_a(n, G);  // segment [0..n-1] on GPU
   sim::MigrationCostConfig one_overhead;
   one_overhead.enabled = true;
-  one_overhead.per_segment_overhead_s = 1e-3;
   const sim::MigrationCostModel model(spec(), one_overhead);
   const sim::MigrationStats stats =
       model.assess(nets, sim::Mapping({prev_a}), {0},

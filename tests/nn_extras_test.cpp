@@ -67,7 +67,6 @@ TEST(LrSchedulers, TrainerHonoursSchedule) {
   nn::TrainConfig cfg;
   cfg.epochs = 60;
   cfg.batch_size = 8;
-  cfg.weight_decay = 0.0f;
   cfg.lr_schedule = &sched;
   nn::MSELoss mse;
   const auto history = nn::train_regression(*net, mse, data, {}, cfg);

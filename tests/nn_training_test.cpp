@@ -110,7 +110,6 @@ TEST(Trainer, LearnsLinearMap) {
   cfg.epochs = 120;
   cfg.batch_size = 16;
   cfg.lr = 0.05f;
-  cfg.weight_decay = 0.0f;
   const TrainHistory h = train_regression(model, mse, train, val, cfg);
 
   ASSERT_EQ(h.train_loss.size(), cfg.epochs);

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -298,7 +297,7 @@ TEST(Greedy, HeavyMixStaysInSaneThroughputBand) {
 // --- Exhaustive / optimality ---------------------------------------------
 
 TEST(Exhaustive, ThrowsOnHugeSpace) {
-  sched::ExhaustiveScheduler s("exact", zoo(), analytic_factory(), {});
+  sched::ExhaustiveScheduler s("exact", zoo(), analytic_factory());
   const Workload w{{ModelId::kVgg19, ModelId::kResNet101}};
   EXPECT_THROW(s.schedule(w), std::invalid_argument);
 }
@@ -310,7 +309,7 @@ class TinyWorkloadOptimality : public ::testing::Test {
   const Workload w_{{ModelId::kAlexNet}};
 
   core::ScheduleResult exact_schedule() {
-    sched::ExhaustiveScheduler exact("exact", zoo(), analytic_factory(), {});
+    sched::ExhaustiveScheduler exact("exact", zoo(), analytic_factory());
     return exact.schedule(w_);
   }
 };
@@ -392,29 +391,6 @@ TEST(EnumerateAssignments, CanonicalOrderGolden) {
     EXPECT_EQ(got.front(),
               Assignment(layers, ComponentId::kGpu));  // all-GPU first
   }
-}
-
-TEST(EnumerateAssignments, AllowedListsRestrictTheSameOrder) {
-  // Enumerating under per-layer allowed lists must equal filtering the full
-  // canonical enumeration — same membership, same relative order.
-  const std::size_t layers = 5;
-  sched::LayerChoices allowed(layers);
-  for (std::size_t l = 0; l < layers; ++l) {
-    allowed[l] = (l == 2)
-                     ? std::vector<ComponentId>{ComponentId::kGpu,
-                                                ComponentId::kBigCpu}
-                     : std::vector<ComponentId>{device::kAllComponents.begin(),
-                                                device::kAllComponents.end()};
-  }
-  const auto restricted =
-      sched::enumerate_assignments(layers, 3, 100'000, &allowed);
-  auto filtered = sched::enumerate_assignments(layers, 3, 100'000);
-  filtered.erase(std::remove_if(filtered.begin(), filtered.end(),
-                                [](const Assignment& a) {
-                                  return a[2] == ComponentId::kLittleCpu;
-                                }),
-                 filtered.end());
-  EXPECT_EQ(restricted, filtered);
 }
 
 // --- Relaxed-bound admissibility ------------------------------------------

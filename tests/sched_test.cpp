@@ -56,10 +56,8 @@ class MosaicTest : public ::testing::Test {
 };
 
 TEST_F(MosaicTest, TrainingConsumesRequestedDataPoints) {
-  sched::MosaicConfig cfg;
-  cfg.data_points = 2'000;
-  sched::MosaicScheduler m(zoo(), device_, cfg);
-  EXPECT_EQ(m.training_samples(), 2'000u);
+  sched::MosaicScheduler m(zoo(), device_);
+  EXPECT_EQ(m.training_samples(), 14'000u);
   EXPECT_GT(m.training_board_seconds(), 0.0);
 }
 
@@ -167,15 +165,13 @@ class GaTest : public ::testing::Test {
 };
 
 TEST_F(GaTest, ProducesValidMappingWithAccounting) {
-  sched::GaConfig cfg;
-  cfg.population = 8;
-  cfg.generations = 3;
-  sched::GaScheduler ga(zoo(), device_, cfg);
+  sched::GaScheduler ga(zoo(), device_);
   const Workload w{{ModelId::kAlexNet, ModelId::kMobileNet}};
   const auto r = ga.schedule(w);
   EXPECT_LE(r.mapping.max_stages(), 3u);
   EXPECT_EQ(r.mapping.num_dnns(), 2u);
-  // pop + (pop - elitism) * generations fitness measurements.
+  // pop + (pop - elitism) * generations fitness measurements, at the fixed
+  // 8 chromosomes x 3 generations.
   EXPECT_EQ(r.evaluations, 8u + 6u * 3u);
   EXPECT_NEAR(r.board_seconds,
               static_cast<double>(r.evaluations) *
@@ -185,22 +181,16 @@ TEST_F(GaTest, ProducesValidMappingWithAccounting) {
 }
 
 TEST_F(GaTest, DeterministicGivenSeed) {
-  sched::GaConfig cfg;
-  cfg.population = 8;
-  cfg.generations = 2;
   const Workload w{{ModelId::kSqueezeNet, ModelId::kAlexNet}};
-  sched::GaScheduler a(zoo(), device_, cfg), b(zoo(), device_, cfg);
+  sched::GaScheduler a(zoo(), device_), b(zoo(), device_);
   EXPECT_EQ(a.schedule(w).mapping, b.schedule(w).mapping);
 }
 
 TEST_F(GaTest, BeatsBaselineOnHeavyMix) {
-  // The default GA budget models the paper's ~5 board-minutes (~26 noisy
-  // measurements); give this check a little more search so it is stable.
-  sched::GaConfig cfg;
-  cfg.population = 16;
-  cfg.generations = 6;
-  cfg.fitness_noise = 0.1;
-  sched::GaScheduler ga(zoo(), device_, cfg);
+  // The GA budget models the paper's ~5 board-minutes (26 noisy
+  // measurements at 20% noise); even that clears the GPU baseline by more
+  // than 10% on this mix.
+  sched::GaScheduler ga(zoo(), device_);
   auto base = sched::AllOnScheduler::gpu_baseline(zoo());
   sim::DesSimulator sim(device_);
   const Workload w{{ModelId::kVgg19, ModelId::kResNet50,
@@ -210,13 +200,6 @@ TEST_F(GaTest, BeatsBaselineOnHeavyMix) {
   const double tb =
       sim.simulate(nets, base.schedule(w).mapping).avg_throughput;
   EXPECT_GT(tg, 1.1 * tb);
-}
-
-TEST_F(GaTest, ConfigValidation) {
-  sched::GaConfig bad;
-  bad.population = 2;
-  EXPECT_THROW(sched::GaScheduler(zoo(), device_, bad),
-               std::invalid_argument);
 }
 
 }  // namespace

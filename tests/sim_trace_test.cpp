@@ -263,16 +263,16 @@ TEST_F(TracedSim, GanttRendersOneLanePerComponent) {
   const sim::Mapping m = workload::random_mapping(rng, zoo(), w, 3);
   const auto r = sim_.simulate_traced(w.resolve(zoo()), m, true);
 
-  sim::GanttConfig cfg;
-  cfg.width = 40;
-  const std::string gantt = sim::render_gantt(r.trace, cfg);
+  const std::string gantt = sim::render_gantt(r.trace);
 
-  // Three lanes, each "name|<width chars>|\n".
+  // Three lanes, each "name|<72 columns>|\n".
   std::size_t lanes = 0;
-  std::size_t pos = 0;
-  while ((pos = gantt.find('\n', pos)) != std::string::npos) {
+  std::size_t start = 0;
+  for (std::size_t pos; (pos = gantt.find('\n', start)) != std::string::npos;
+       start = pos + 1) {
     ++lanes;
-    ++pos;
+    const std::string lane = gantt.substr(start, pos - start);
+    EXPECT_EQ(lane.rfind('|') - lane.find('|') - 1, 72u) << lane;
   }
   EXPECT_EQ(lanes, 3u);
   EXPECT_NE(gantt.find("GPU"), std::string::npos);
@@ -313,16 +313,6 @@ TEST_F(TracedSim, GanttWithoutEventsThrows) {
       sim::Mapping::all_on(w.layer_counts(zoo()), ComponentId::kGpu);
   const auto r = sim_.simulate_traced(w.resolve(zoo()), m, false);
   EXPECT_THROW(sim::render_gantt(r.trace), std::invalid_argument);
-}
-
-TEST_F(TracedSim, GanttRejectsDegenerateWidth) {
-  const Workload w{{ModelId::kAlexNet}};
-  const sim::Mapping m =
-      sim::Mapping::all_on(w.layer_counts(zoo()), ComponentId::kGpu);
-  const auto r = sim_.simulate_traced(w.resolve(zoo()), m, true);
-  sim::GanttConfig cfg;
-  cfg.width = 4;
-  EXPECT_THROW(sim::render_gantt(r.trace, cfg), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,6 +9,9 @@ Runs both binaries over the same fixed matrix and compares their parsed
   * one-shot decisions for every `--scheduler` kind on fixed mixes and
     seeds (omniboost under both kernels and with a parallel design-time
     pipeline; bnb only on a mix it proves optimal, which is asserted);
+  * one-shot text reports with `--trace --gantt` (schedule table,
+    utilization table and execution timeline) for greedy and ga on both
+    mixes, compared line by line;
   * 36 `serve --json` runs: SLOs, migration cost, board faults and poisson
     arrivals on boards 1 and 3 (`--rebalance` on 3), seeds 1-3, omniboost
     (gemm and reference kernels) and greedy, each with `--slo-hard-prune`
@@ -17,8 +20,9 @@ Runs both binaries over the same fixed matrix and compares their parsed
     every cross-board stream move: rescue, failover and rebalance, plus
     shedding.
 
-Wall-clock fields (every key ending in `decision_seconds`) are dropped
-before the comparison; everything else must be equal. Estimator training
+Wall-clock fields (every key ending in `decision_seconds`, and the text
+report's `decision:` line) are dropped before the comparison; everything
+else must be equal. Estimator training
 runs with small settings (`--samples 40 --epochs 2 --budget 50`) so the
 whole matrix takes seconds. Exits 0 when every run matches, 1 on any
 difference or failed run (each is printed), or when one of the move
@@ -65,6 +69,12 @@ def oneshot_cases() -> list[list[str]]:
         cases.append(["--mix", BNB_MIX, "--scheduler", "bnb", "--seed", seed,
                       "--trace"])
     return [[*c, "--json"] for c in cases]
+
+
+def text_cases() -> list[list[str]]:
+    return [["--mix", mix, "--scheduler", scheduler, "--seed", "1",
+             "--trace", "--gantt"]
+            for scheduler in ("greedy", "ga") for mix in MIXES]
 
 
 def serve_cases() -> list[list[str]]:
@@ -116,7 +126,8 @@ def first_difference(a, b, path: str = "$") -> str | None:
 
 
 def run(cli: str, args: list[str]):
-    """Parsed, wall-clock-free JSON report of one run, or an error string."""
+    """Wall-clock-free report of one run, or an error string: the parsed
+    JSON with `--json`, else the list of stdout lines."""
     try:
         proc = subprocess.run([cli, *args], capture_output=True, text=True,
                               timeout=TIMEOUT_S, check=False)
@@ -124,6 +135,9 @@ def run(cli: str, args: list[str]):
         return f"did not finish: {err}"
     if proc.returncode != 0:
         return f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    if "--json" not in args:
+        return [line for line in proc.stdout.splitlines()
+                if not line.startswith("decision:")]
     try:
         return strip_wall_clock(json.loads(proc.stdout))
     except json.JSONDecodeError as err:
@@ -135,7 +149,7 @@ def main() -> int:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     old_cli, new_cli = sys.argv[1], sys.argv[2]
-    cases = oneshot_cases() + serve_cases()
+    cases = oneshot_cases() + text_cases() + serve_cases()
     failures = 0
     moves = dict.fromkeys(MOVE_COUNTERS, 0)
     for args in cases:

@@ -629,7 +629,14 @@ int run_serve(int argc, char** argv) {
   const bool as_json = args.get_flag("json");
   const bool warm = !args.get_flag("cold");
 
-  // --- The scenario: load a trace, or draw one from the master seed.
+  // --- The scenario: load a trace, or draw one from the master seed. The
+  // generators' values are checked here, at their flags; the generators'
+  // own preconditions would name a source line instead.
+  const std::size_t max_concurrent = get_count(args, "max-concurrent", 1);
+  if (max_concurrent > models::kNumModels)
+    throw std::invalid_argument("--max-concurrent must be <= " +
+                                std::to_string(models::kNumModels) +
+                                " (the number of zoo models)");
   workload::Scenario scenario;
   if (args.has("scenario")) {
     scenario = workload::load_scenario_file(args.get("scenario"));
@@ -637,8 +644,7 @@ int run_serve(int argc, char** argv) {
     workload::ArrivalProcess process =
         workload::parse_arrival_spec(args.get("arrival"));
     process.mean_lifetime_s = args.get_double("lifetime");
-    process.max_concurrent = std::min<std::size_t>(
-        get_count(args, "max-concurrent", 1), models::kNumModels);
+    process.max_concurrent = max_concurrent;
     util::Rng rng(seed);
     scenario = workload::sample_scenario(process, args.get_double("horizon"),
                                          rng);
@@ -649,10 +655,23 @@ int run_serve(int argc, char** argv) {
   } else {
     workload::ScenarioConfig sc;
     sc.events = get_count(args, "events", 1);
-    sc.max_concurrent = get_count(args, "max-concurrent", 1);
+    sc.max_concurrent = max_concurrent;
     sc.min_concurrent = get_count(args, "min-concurrent", 1);
     sc.depart_bias = args.get_double("depart-bias");
     sc.mean_interarrival_s = args.get_double("interarrival");
+    if (sc.min_concurrent > sc.max_concurrent)
+      throw std::invalid_argument(
+          "--min-concurrent must be <= --max-concurrent");
+    // A zero-width band freezes the mix once it fills.
+    if (sc.min_concurrent == sc.max_concurrent &&
+        sc.events > sc.max_concurrent)
+      throw std::invalid_argument(
+          "--events must be <= --max-concurrent when --min-concurrent "
+          "equals it");
+    if (!(sc.depart_bias >= 0.0 && sc.depart_bias <= 1.0))
+      throw std::invalid_argument("--depart-bias must be in [0, 1]");
+    if (!(sc.mean_interarrival_s >= 0.0))
+      throw std::invalid_argument("--interarrival must be >= 0");
     util::Rng rng(seed);
     scenario = workload::random_scenario(rng, sc);
   }
